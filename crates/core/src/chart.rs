@@ -2,11 +2,9 @@
 //! log2 or log10 axes, with labelled legends and deterministic
 //! fixed-width output.
 //!
-//! This module is the general renderer behind the `figures` binary,
-//! `--chart` sweep/DSE reports, `mpstream watch`, `bench-self`
-//! trajectories and the golden figure charts in
-//! `tests/report_golden.rs` ([`crate::report::ascii_loglog`] remains
-//! only as the minimal standalone log-log scatter). The determinism contract is strict: the
+//! This module is the renderer behind the `figures` binary, `--chart`
+//! sweep/DSE reports, `mpstream watch` and the golden figure charts in
+//! `tests/report_golden.rs`. The determinism contract is strict: the
 //! output is a pure function of the series data and the chart
 //! configuration — no wall clock, no locale, no terminal probing — so
 //! renderings are byte-identical across runs, worker counts and

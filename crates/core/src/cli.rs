@@ -194,16 +194,13 @@ impl Default for CliRequest {
 
 /// The usage string printed on `--help` or a parse error.
 pub const USAGE: &str = "\
-usage: mpstream [sweep|dse|bench-self] [options]
+usage: mpstream [sweep|dse] [options]
   sweep                             sweep --vectors x --unrolls instead of
                                     running each kernel once
   dse                               search the sweep space (all loop modes)
                                     with --strategy instead of exhaustively,
                                     reporting the best config and the
                                     bandwidth-vs-logic Pareto front
-  bench-self                        benchmark the simulator itself (fast vs
-                                    reference slow path points/sec; see
-                                    mpstream bench-self --help)
   --target <aocl|sdaccel|cpu|gpu>   device to run on (default cpu)
   --kernel <name>                   kernel (repeatable; default the four
                                     STREAM ops). Names: copy, scale, add,

@@ -22,7 +22,7 @@
 //!   [`dse::Strategy`] trait with exhaustive, random, hill-climbing,
 //!   annealing, genetic and surrogate-model search, every batch
 //!   executing through the engine;
-//! * [`report`] — tables, CSV and ASCII log-log charts for the harness;
+//! * [`report`] — tables and CSV for the harness;
 //! * [`chart`] — the general deterministic ASCII chart renderer
 //!   (line/scatter/bar, linear/log2/log10 axes) behind `--chart`
 //!   reports, `mpstream watch` and the golden figure charts;
@@ -32,7 +32,6 @@
 //!   that regenerates it on the simulated targets.
 
 pub mod bandwidth;
-pub mod bench_self;
 pub mod chart;
 pub mod checkpoint;
 pub mod cli;
@@ -62,7 +61,7 @@ pub use dse::{
 pub use engine::{default_jobs, CancelToken, Engine, Outcome, ResiliencePolicy, RetryStats};
 pub use experiments::{run_figure, Figure, FigureId, RunOpts};
 pub use extensions::{all_extensions, ExtensionReport};
-pub use report::{ascii_loglog, sweep_summary_table, Series, SweepSummary, Table};
+pub use report::{sweep_summary_table, Series, SweepSummary, Table};
 pub use rng::SplitMix64;
 pub use runner::{Measurement, Runner};
 pub use space::ParamSpace;

@@ -1,5 +1,5 @@
-//! Report rendering: aligned text tables, CSV, and ASCII log-log charts
-//! for the figure-regeneration binaries — plus the sweep degradation
+//! Report rendering: aligned text tables and CSV for the
+//! figure-regeneration binaries — plus the sweep degradation
 //! summary ([`sweep_summary_table`]) that makes partial (fault-degraded
 //! or resumed) sweeps legible at a glance.
 
@@ -117,37 +117,6 @@ impl Table {
             render(row, out)?;
         }
         Ok(())
-    }
-
-    /// Render as a GitHub-flavoured Markdown table.
-    pub fn to_markdown(&self) -> String {
-        let esc = |s: &str| s.replace('|', "\\|");
-        let mut out = String::new();
-        out.push_str("| ");
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(" | "),
-        );
-        out.push_str(" |\n|");
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|"),
-        );
-        out.push_str("|\n");
-        for row in &self.rows {
-            out.push_str("| ");
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(" | "));
-            out.push_str(" |\n");
-        }
-        out
     }
 
     /// Render as CSV (RFC-4180-ish; quotes fields containing commas).
@@ -337,63 +306,6 @@ pub fn sweep_summary_table(s: &SweepSummary) -> Table {
     t
 }
 
-/// Render series as an ASCII chart with log-scaled axes (the paper's
-/// figures are all log-log or log-linear). Each series gets a marker
-/// letter; overlapping cells show the later series.
-pub fn ascii_loglog(series: &[Series], width: usize, height: usize) -> String {
-    let pts: Vec<(f64, f64)> = series
-        .iter()
-        .flat_map(|s| s.points.iter().copied())
-        .filter(|&(x, y)| x > 0.0 && y > 0.0)
-        .collect();
-    if pts.is_empty() {
-        return String::from("(no data)\n");
-    }
-    let (mut x0, mut x1, mut y0, mut y1) = (f64::MAX, f64::MIN, f64::MAX, f64::MIN);
-    for &(x, y) in &pts {
-        x0 = x0.min(x.log10());
-        x1 = x1.max(x.log10());
-        y0 = y0.min(y.log10());
-        y1 = y1.max(y.log10());
-    }
-    if (x1 - x0).abs() < 1e-9 {
-        x1 = x0 + 1.0;
-    }
-    if (y1 - y0).abs() < 1e-9 {
-        y1 = y0 + 1.0;
-    }
-
-    let mut grid = vec![vec![' '; width]; height];
-    let markers = ['a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'];
-    for (si, s) in series.iter().enumerate() {
-        let m = markers[si % markers.len()];
-        for &(x, y) in &s.points {
-            if x <= 0.0 || y <= 0.0 {
-                continue;
-            }
-            let gx = ((x.log10() - x0) / (x1 - x0) * (width - 1) as f64).round() as usize;
-            let gy = ((y.log10() - y0) / (y1 - y0) * (height - 1) as f64).round() as usize;
-            grid[height - 1 - gy][gx] = m;
-        }
-    }
-
-    let mut out = String::new();
-    let _ = writeln!(out, "  y: 1e{:.1} .. 1e{:.1} (log)", y0, y1);
-    for row in grid {
-        out.push_str("  |");
-        out.extend(row);
-        out.push('\n');
-    }
-    out.push_str("  +");
-    out.push_str(&"-".repeat(width));
-    out.push('\n');
-    let _ = writeln!(out, "  x: 1e{:.1} .. 1e{:.1} (log)", x0, x1);
-    for (si, s) in series.iter().enumerate() {
-        let _ = writeln!(out, "  {} = {}", markers[si % markers.len()], s.label);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,15 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_table_shape() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["1".into(), "x|y".into()]);
-        let md = t.to_markdown();
-        assert!(md.starts_with("| a | b |\n|---|---|\n"));
-        assert!(md.contains("x\\|y"), "{md}");
-    }
-
-    #[test]
     fn writer_renderers_match_string_renderers() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["1".into(), "two".into()]);
@@ -521,23 +424,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn chart_contains_markers_and_legend() {
-        let s = vec![
-            Series::new("cpu", vec![(0.001, 0.05), (1.0, 10.0), (100.0, 25.0)]),
-            Series::new("gpu", vec![(0.001, 0.14), (1.0, 50.0), (100.0, 204.0)]),
-        ];
-        let chart = ascii_loglog(&s, 40, 10);
-        assert!(chart.contains("a = cpu"));
-        assert!(chart.contains("b = gpu"));
-        assert!(chart.contains('a'));
-    }
-
-    #[test]
-    fn chart_handles_empty_input() {
-        assert_eq!(ascii_loglog(&[], 10, 5), "(no data)\n");
     }
 
     #[test]

@@ -285,13 +285,6 @@ impl Dram {
         )
     }
 
-    /// Would an access at `addr` hit its bank's currently open row?
-    /// Pure peek — no state change (used by scheduling policies).
-    pub fn peek_row_hit(&self, addr: u64) -> bool {
-        let (_, bank, row) = self.map(addr);
-        self.banks[bank].open_row == Some(row)
-    }
-
     /// Service one chunk that lives entirely within a single channel's
     /// interleave unit.
     fn service_chunk(&mut self, at: u64, addr: u64, bytes: u32, kind: AccessKind) -> (u64, u64) {

@@ -288,28 +288,9 @@ impl MemHierarchy {
         self.dram.reset();
     }
 
-    /// Run a complete access stream and return its cost. Use
-    /// [`MemHierarchy::run_sampled`] for very long streams.
+    /// Run a complete access stream and return its cost.
     pub fn run(&mut self, stream: impl IntoIterator<Item = Access>) -> StreamOutcome {
         self.run_engine(stream.into_iter(), u64::MAX)
-    }
-
-    /// Run up to `cap` accesses of a stream that nominally contains
-    /// `total` accesses; if truncated, the cost is extrapolated linearly
-    /// (streaming workloads are steady-state, so the prefix rate is
-    /// representative).
-    pub fn run_sampled(
-        &mut self,
-        stream: impl IntoIterator<Item = Access>,
-        total: u64,
-        cap: u64,
-    ) -> StreamOutcome {
-        let mut out = self.run_engine(stream.into_iter(), cap);
-        if out.simulated_accesses < total && out.simulated_accesses > 0 {
-            let scale = total as f64 / out.simulated_accesses as f64;
-            out.ns *= scale;
-        }
-        out
     }
 
     fn line_bytes(&self) -> u64 {
@@ -1057,17 +1038,6 @@ mod tests {
         });
         let out = h.run(seq_reads(1000, 4));
         assert_eq!(out.stats.dram_transactions, 1000);
-    }
-
-    #[test]
-    fn sampling_extrapolates_linearly() {
-        let mut h1 = cpu_like(8, true);
-        let mut h2 = cpu_like(8, true);
-        let full = h1.run(seq_reads(100_000, 4));
-        let sampled = h2.run_sampled(seq_reads(100_000, 4), 100_000, 50_000);
-        let ratio = sampled.ns / full.ns;
-        assert!(ratio > 0.8 && ratio < 1.25, "ratio {ratio}");
-        assert_eq!(sampled.simulated_accesses, 50_000);
     }
 
     #[test]

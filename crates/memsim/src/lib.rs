@@ -24,11 +24,9 @@
 //! address space; time is carried either in cycles of a model-local clock
 //! (see [`clock::Freq`]) or in nanoseconds.
 
-pub mod analytic;
 pub mod cache;
 pub mod clock;
 pub mod coalesce;
-pub mod controller;
 pub mod dram;
 pub mod hierarchy;
 pub mod link;
@@ -41,9 +39,6 @@ pub mod tlb;
 pub use cache::{Cache, CacheConfig};
 pub use clock::Freq;
 pub use coalesce::{BufferedCoalesce, CoalesceMode, Coalescer};
-pub use controller::{
-    interleaved_trace, MemoryController, ReplayOutcome, SchedPolicy, TimedRequest,
-};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{
     MemHierarchy, MemHierarchyConfig, PrefetchConfig, StreamOutcome, TlbConfig, WritePolicy,

@@ -7,9 +7,8 @@
 //! the slow path into a reference oracle the equivalence suite (and any
 //! suspicious user) can diff the fast path against.
 //!
-//! The environment is read once; tests and the `bench-self` harness can
-//! override the mode at runtime with [`force`] to compare both paths
-//! inside one process.
+//! The environment is read once; tests can override the mode at runtime
+//! with [`force`] to compare both paths inside one process.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

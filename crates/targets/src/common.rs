@@ -397,6 +397,10 @@ mod tests {
         })
     }
 
+    /// Serializes the tests that flip the process-wide slow-path mode,
+    /// so one test's `force` cannot land inside another's comparison.
+    static SLOW_MODE: Mutex<()> = Mutex::new(());
+
     fn plan(n: u64) -> ExecPlan {
         let cfg = KernelConfig::baseline(StreamOp::Copy, n);
         let bytes = cfg.array_bytes();
@@ -438,6 +442,7 @@ mod tests {
     #[test]
     fn memo_caches_per_key_and_slow_mode_bypasses() {
         use memsim::MemStats;
+        let _guard = SLOW_MODE.lock().unwrap();
         let was_slow = memsim::slowpath::slow();
         memsim::slowpath::force(false);
         let cost = KernelCost {
@@ -537,6 +542,7 @@ mod tests {
 
     #[test]
     fn fast_and_slow_pipelines_match() {
+        let _guard = SLOW_MODE.lock().unwrap();
         let was_slow = memsim::slowpath::slow();
         let co_cases = [
             None,

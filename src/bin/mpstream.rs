@@ -91,29 +91,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    if args.first().map(String::as_str) == Some("bench-self") {
-        use mpstream_core::bench_self;
-        return match bench_self::parse_bench_self_args(&args[1..]) {
-            Ok(None) => {
-                println!("{}", bench_self::BENCH_SELF_USAGE);
-                ExitCode::SUCCESS
-            }
-            Ok(Some(opts)) => match bench_self::run_bench_self(&opts) {
-                Ok(report) => {
-                    print!("{report}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(1)
-                }
-            },
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", bench_self::BENCH_SELF_USAGE);
-                ExitCode::from(2)
-            }
-        };
-    }
     match cli::parse_args(&args) {
         Ok(None) => {
             println!("{}", cli::USAGE);

@@ -15,7 +15,7 @@
 //!
 //! Deterministic: fixed-seed SplitMix64 drives every generated byte.
 //! `MPSTREAM_SOAK_REQUESTS` scales the hammer (default 2000); the test
-//! prints one `SOAK ...` stats line for CI to turn into BENCH_serve.json.
+//! prints one `SOAK ...` stats line, which CI requires to be present.
 
 use mpstream_cluster::{Coordinator, CoordinatorOpts};
 use mpstream_core::cli as core_cli;
@@ -433,7 +433,7 @@ fn chaos_soak_cluster_survives_fire_with_identical_report() {
     handle.trigger();
     join.join().unwrap().unwrap();
 
-    // One parseable stats line for CI's BENCH_serve.json.
+    // One `key=value` stats line for the log (CI requires it).
     latencies.sort_unstable();
     let p99_us = latencies
         .get(

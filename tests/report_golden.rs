@@ -257,27 +257,6 @@ fn fig4a_chart_matches_golden() {
     check_golden("fig4a_chart.txt", &figure_chart(&fig));
 }
 
-/// The committed BENCH trajectory files render to pinned trend charts:
-/// the same sparkline + table `bench-self --check` prints, so the CI
-/// log rendering is itself regression-tested.
-#[test]
-fn bench_trajectory_trends_match_golden() {
-    use mpstream_core::bench_self::{parse_trajectory, render_trend};
-    for (file, value_label, golden) in [
-        ("BENCH_sim.json", "points/s", "bench_sim_trend.txt"),
-        ("BENCH_sweep.json", "points/s", "bench_sweep_trend.txt"),
-        ("BENCH_dse.json", "GB/s", "bench_dse_trend.txt"),
-    ] {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(file);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("committed {file} unreadable: {e}"));
-        let entries = parse_trajectory(&text);
-        assert!(!entries.is_empty(), "{file} parsed to no trajectory points");
-        let title = format!("{file} trajectory");
-        check_golden(golden, &render_trend(&title, value_label, &entries));
-    }
-}
-
 #[test]
 fn fig4a_kernel_ordering_matches_golden() {
     let fig = reference_figure(FigureId::Fig4a);
