@@ -8,8 +8,6 @@
 //! cargo run -p mpstream-bench --release --bin figures -- all --write-experiments
 //! ```
 
-pub mod harness;
-
 use mpstream_core::paperdata::{
     self, check_ordering, check_ratio_band, check_rise_and_plateau, geomean_ratio, Shape,
 };

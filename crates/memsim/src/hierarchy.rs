@@ -290,7 +290,7 @@ impl MemHierarchy {
 
     /// Run a complete access stream and return its cost.
     pub fn run(&mut self, stream: impl IntoIterator<Item = Access>) -> StreamOutcome {
-        self.run_engine(stream.into_iter(), u64::MAX)
+        self.run_engine(stream.into_iter())
     }
 
     fn line_bytes(&self) -> u64 {
@@ -305,19 +305,15 @@ impl MemHierarchy {
     /// [`crate::slowpath`]). Both produce byte-identical outcomes; the
     /// reference is kept verbatim as the oracle the equivalence suite
     /// diffs against.
-    fn run_engine(&mut self, stream: impl Iterator<Item = Access>, cap: u64) -> StreamOutcome {
+    fn run_engine(&mut self, stream: impl Iterator<Item = Access>) -> StreamOutcome {
         if crate::slowpath::slow() {
-            self.run_engine_reference(stream, cap)
+            self.run_engine_reference(stream)
         } else {
-            self.run_engine_fast(stream, cap)
+            self.run_engine_fast(stream)
         }
     }
 
-    fn run_engine_reference(
-        &mut self,
-        stream: impl Iterator<Item = Access>,
-        cap: u64,
-    ) -> StreamOutcome {
+    fn run_engine_reference(&mut self, stream: impl Iterator<Item = Access>) -> StreamOutcome {
         let mut stats = MemStats::new();
         // Snapshot cumulative model counters so the outcome reports
         // per-run deltas even when state is carried across runs.
@@ -337,9 +333,6 @@ impl MemHierarchy {
         let line = self.line_bytes();
 
         for acc in stream {
-            if n >= cap {
-                break;
-            }
             n += 1;
 
             // Front-end issue cost.
@@ -595,11 +588,7 @@ impl MemHierarchy {
     ///
     /// Every floating-point operation happens in the same order with the
     /// same operands as the reference, so outcomes are byte-identical.
-    fn run_engine_fast(
-        &mut self,
-        mut stream: impl Iterator<Item = Access>,
-        cap: u64,
-    ) -> StreamOutcome {
+    fn run_engine_fast(&mut self, mut stream: impl Iterator<Item = Access>) -> StreamOutcome {
         let mut stats = MemStats::new();
         let cache_base: Vec<(u64, u64)> =
             self.caches.iter().map(|c| (c.hits(), c.misses())).collect();
@@ -629,12 +618,7 @@ impl MemHierarchy {
         let mut chunk: Vec<Access> = Vec::with_capacity(CHUNK);
         'outer: loop {
             chunk.clear();
-            while (chunk.len() as u64) < cap - n && chunk.len() < CHUNK {
-                match stream.next() {
-                    Some(a) => chunk.push(a),
-                    None => break,
-                }
-            }
+            chunk.extend(stream.by_ref().take(CHUNK));
             if chunk.is_empty() {
                 break 'outer;
             }
@@ -1068,9 +1052,9 @@ mod tests {
 
     /// Run the same stream through the reference and fast engines on
     /// twin hierarchies; outcomes must match to the bit.
-    fn assert_paths_identical(mut a: MemHierarchy, mut b: MemHierarchy, accs: &[Access], cap: u64) {
-        let slow = a.run_engine_reference(accs.iter().copied(), cap);
-        let fast = b.run_engine_fast(accs.iter().copied(), cap);
+    fn assert_paths_identical(mut a: MemHierarchy, mut b: MemHierarchy, accs: &[Access]) {
+        let slow = a.run_engine_reference(accs.iter().copied());
+        let fast = b.run_engine_fast(accs.iter().copied());
         assert_eq!(
             slow.ns.to_bits(),
             fast.ns.to_bits(),
@@ -1085,13 +1069,13 @@ mod tests {
     #[test]
     fn fast_engine_matches_reference_contiguous() {
         let accs: Vec<Access> = seq_reads(100_000, 4).collect();
-        assert_paths_identical(cpu_like(8, true), cpu_like(8, true), &accs, u64::MAX);
+        assert_paths_identical(cpu_like(8, true), cpu_like(8, true), &accs);
     }
 
     #[test]
     fn fast_engine_matches_reference_strided() {
         let accs: Vec<Access> = seq_reads(20_000, 4096).collect();
-        assert_paths_identical(cpu_like(4, true), cpu_like(4, true), &accs, u64::MAX);
+        assert_paths_identical(cpu_like(4, true), cpu_like(4, true), &accs);
     }
 
     #[test]
@@ -1109,7 +1093,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_paths_identical(cpu_like(8, true), cpu_like(8, true), &accs, u64::MAX);
+        assert_paths_identical(cpu_like(8, true), cpu_like(8, true), &accs);
     }
 
     #[test]
@@ -1119,7 +1103,7 @@ mod tests {
         a.cfg.write_policy = WritePolicy::Streaming;
         b.cfg.write_policy = WritePolicy::Streaming;
         let accs: Vec<Access> = (0..100_000).map(|i| Access::write(i * 4, 4)).collect();
-        assert_paths_identical(a, b, &accs, u64::MAX);
+        assert_paths_identical(a, b, &accs);
     }
 
     #[test]
@@ -1150,13 +1134,7 @@ mod tests {
                 }
             })
             .collect();
-        assert_paths_identical(mk(), mk(), &accs, u64::MAX);
-    }
-
-    #[test]
-    fn fast_engine_matches_reference_under_sampling_cap() {
-        let accs: Vec<Access> = seq_reads(40_000, 4).collect();
-        assert_paths_identical(cpu_like(8, true), cpu_like(8, true), &accs, 10_000);
+        assert_paths_identical(mk(), mk(), &accs);
     }
 
     #[test]
@@ -1165,7 +1143,7 @@ mod tests {
         // process latched — the contract the whole PR rests on.
         let accs: Vec<Access> = seq_reads(10_000, 4).collect();
         let via_run = cpu_like(8, true).run(accs.iter().copied());
-        let via_fast = cpu_like(8, true).run_engine_fast(accs.iter().copied(), u64::MAX);
+        let via_fast = cpu_like(8, true).run_engine_fast(accs.iter().copied());
         assert_eq!(via_run.ns.to_bits(), via_fast.ns.to_bits());
         assert_eq!(via_run.stats, via_fast.stats);
     }

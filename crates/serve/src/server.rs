@@ -493,9 +493,8 @@ fn stream_job_feed(w: &mut TcpStream, shared: &Shared, id: u64) {
         // before it marks the job terminal, so a terminal state
         // observed *here* guarantees the read below sees every record.
         let status = shared.manager.status(id);
-        let lines = store.result_lines(id);
-        let fresh = lines.len() > sent;
-        for line in lines.iter().skip(sent) {
+        let (fresh, _) = store.result_page(id, sent, usize::MAX);
+        for line in &fresh {
             if write_chunk(w, format!("{line}\n").as_bytes()).is_err() {
                 return;
             }
@@ -524,7 +523,7 @@ fn stream_job_feed(w: &mut TcpStream, shared: &Shared, id: u64) {
             }
             Some(_) => {}
         }
-        if fresh {
+        if !fresh.is_empty() {
             idle = Duration::ZERO;
         } else {
             std::thread::sleep(POLL);
@@ -657,7 +656,6 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
         }
         ("GET", ["jobs", id, "results"]) => match parse_id(id) {
             Some(id) if manager.store().get(id).is_some() => {
-                let lines = manager.store().result_lines(id);
                 let offset = req
                     .query_param("offset")
                     .and_then(|v| v.parse::<usize>().ok())
@@ -667,7 +665,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
                     .and_then(|v| v.parse::<usize>().ok())
                     .unwrap_or(256)
                     .min(4096);
-                let page: Vec<&String> = lines.iter().skip(offset).take(limit).collect();
+                let (page, total) = manager.store().result_page(id, offset, limit);
                 let mut body = String::new();
                 for line in &page {
                     body.push_str(line);
@@ -676,7 +674,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
                 Response::json(200, body)
                     .header("X-Offset", offset.to_string())
                     .header("X-Count", page.len().to_string())
-                    .header("X-Total", lines.len().to_string())
+                    .header("X-Total", total.to_string())
             }
             _ => json_error(404, "no such job"),
         },

@@ -176,8 +176,8 @@ struct IndexEntry {
     line: String,
 }
 
-/// Per-job query index over a checkpoint file, kept in step with the
-/// file by byte offset: a sync reads only the appended suffix.
+/// Per-job index over a checkpoint file, kept in step with the file by
+/// byte offset: a sync reads only the appended suffix.
 #[derive(Debug, Default)]
 struct JobIndex {
     /// Bytes of the checkpoint already folded into `entries`.
@@ -187,10 +187,10 @@ struct JobIndex {
 }
 
 /// Fold any bytes appended to `path` since the last sync into `ji`. A
-/// shrunken file (startup compaction ran, or a merge compacted it)
-/// resets and rebuilds. An unterminated tail line is *deferred*, not
-/// indexed — every writer appends whole `writeln!`-terminated lines, so
-/// a missing newline means the record is still in flight.
+/// shrunken file (a merge compacted it) resets and rebuilds. An
+/// unterminated tail line is *deferred*, not indexed — every writer
+/// appends whole `writeln!`-terminated lines, so a missing newline means
+/// the record is still in flight.
 fn sync_index(path: &Path, ji: &mut JobIndex) {
     let Ok(mut f) = File::open(path) else {
         ji.offset = 0;
@@ -244,11 +244,12 @@ pub struct ResultStore {
     dir: PathBuf,
     journal: Mutex<File>,
     jobs: Mutex<HashMap<u64, JobRecord>>,
-    /// Per-job `(device, config-key, op)` query index, built at open
-    /// (post-compaction), advanced on append, lazily re-synced against
-    /// the checkpoint file length on every query — the engine appends
-    /// checkpoints directly, so the index discovers those lines by the
-    /// grown file, reading only the new suffix.
+    /// Per-job index of checkpoint records: the one reader behind
+    /// status, listing, result pages, streams and queries. A job's entry
+    /// is built on first read and re-synced against the checkpoint file
+    /// length on every read — the engine appends checkpoints directly,
+    /// so the index discovers those lines by the grown file, reading only
+    /// the new suffix and skipping an unterminated last line.
     index: Mutex<HashMap<u64, JobIndex>>,
     startup: StartupStats,
     policy: RetentionPolicy,
@@ -310,19 +311,11 @@ impl ResultStore {
             .append(true)
             .open(&journal_path)?;
 
-        // Build the query index over the freshly compacted checkpoints.
-        let mut index = HashMap::new();
-        for id in jobs.keys() {
-            let mut ji = JobIndex::default();
-            sync_index(&dir.join(format!("job-{id}.jsonl")), &mut ji);
-            index.insert(*id, ji);
-        }
-
         let store = ResultStore {
             dir,
             journal: Mutex::new(journal),
             jobs: Mutex::new(jobs),
-            index: Mutex::new(index),
+            index: Mutex::new(HashMap::new()),
             startup,
             policy,
             evicted: AtomicU64::new(0),
@@ -408,24 +401,35 @@ impl ResultStore {
         std::fs::read_to_string(self.report_path(id)).ok()
     }
 
-    /// Completed points of a job: parseable lines of its checkpoint.
+    /// Run `read` over job `id`'s indexed records after folding in
+    /// whatever its checkpoint gained since the last read.
+    fn with_index<T>(&self, id: u64, read: impl FnOnce(&[IndexEntry]) -> T) -> T {
+        let mut index = self.index.lock().expect("store mutex poisoned");
+        let ji = index.entry(id).or_default();
+        sync_index(&self.checkpoint_path(id), ji);
+        read(&ji.entries)
+    }
+
+    /// Completed points of a job: complete records of its checkpoint.
     /// Crash-consistent by construction — the engine appends and
     /// flushes each point as a worker finishes it.
     pub fn done_points(&self, id: u64) -> usize {
-        self.result_lines(id).len()
+        self.with_index(id, <[IndexEntry]>::len)
     }
 
-    /// The raw (parseable) checkpoint lines of a job, in completion
-    /// order — the incremental result feed.
+    /// The raw checkpoint record lines of a job, in completion order —
+    /// the incremental result feed.
     pub fn result_lines(&self, id: u64) -> Vec<String> {
-        let Ok(f) = File::open(self.checkpoint_path(id)) else {
-            return Vec::new();
-        };
-        BufReader::new(f)
-            .lines()
-            .map_while(Result::ok)
-            .filter(|l| parse_flat_object(l).is_some_and(|obj| obj.contains_key("key")))
-            .collect()
+        self.result_page(id, 0, usize::MAX).0
+    }
+
+    /// Up to `limit` record lines of a job starting at record `offset`,
+    /// and the job's record count.
+    pub fn result_page(&self, id: u64, offset: usize, limit: usize) -> (Vec<String>, usize) {
+        self.with_index(id, |entries| {
+            let page = entries.iter().skip(offset).take(limit);
+            (page.map(|e| e.line.clone()).collect(), entries.len())
+        })
     }
 
     /// Append already-rendered checkpoint record lines to a job's
@@ -464,58 +468,21 @@ impl ResultStore {
             if q.job.is_some_and(|id| id != rec.id) {
                 continue;
             }
-            let mut index = self.index.lock().expect("store mutex poisoned");
-            let ji = index.entry(rec.id).or_default();
-            sync_index(&self.checkpoint_path(rec.id), ji);
-            for e in &ji.entries {
-                if !q.device.is_empty() && !e.device.contains(&device) {
-                    continue;
+            self.with_index(rec.id, |entries| {
+                for e in entries {
+                    if !q.device.is_empty() && !e.device.contains(&device) {
+                        continue;
+                    }
+                    if !q.config.is_empty() && !e.key.contains(&config) {
+                        continue;
+                    }
+                    if !q.op.is_empty() && !e.key.contains(&op) {
+                        continue;
+                    }
+                    // Splice provenance in front: the line is `{...}`.
+                    out.push(format!("{{\"job\":{},{}", rec.id, &e.line[1..]));
                 }
-                if !q.config.is_empty() && !e.key.contains(&config) {
-                    continue;
-                }
-                if !q.op.is_empty() && !e.key.contains(&op) {
-                    continue;
-                }
-                // Splice provenance in front: the line is `{...}`.
-                out.push(format!("{{\"job\":{},{}", rec.id, &e.line[1..]));
-            }
-        }
-        out
-    }
-
-    /// The pre-index `query` implementation: a full linear rescan of
-    /// every checkpoint per request. Kept as the reference the indexed
-    /// path is equivalence-tested against.
-    pub fn query_scan(&self, q: &ResultQuery) -> Vec<String> {
-        let mut out = Vec::new();
-        for rec in self.jobs() {
-            if q.job.is_some_and(|id| id != rec.id) {
-                continue;
-            }
-            for line in self.result_lines(rec.id) {
-                let Some(obj) = parse_flat_object(&line) else {
-                    continue;
-                };
-                let field = |k: &str| {
-                    obj.get(k)
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("")
-                        .to_lowercase()
-                };
-                if !q.device.is_empty() && !field("device").contains(&q.device.to_lowercase()) {
-                    continue;
-                }
-                let key = field("key");
-                if !q.config.is_empty() && !key.contains(&q.config.to_lowercase()) {
-                    continue;
-                }
-                if !q.op.is_empty() && !key.contains(&format!("op: {}", q.op.to_lowercase())) {
-                    continue;
-                }
-                // Splice provenance in front: the line is `{...}`.
-                out.push(format!("{{\"job\":{},{}", rec.id, &line[1..]));
-            }
+            });
         }
         out
     }
@@ -655,6 +622,62 @@ mod tests {
             tenant: String::new(),
             updated_unix: 0,
         }
+    }
+
+    /// A checkpoint's records read straight from the file, under the
+    /// index's rule: only `\n`-terminated lines whose object has a `key`.
+    fn scan_lines(path: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        text.split_inclusive('\n')
+            .filter(|l| l.ends_with('\n'))
+            .map(str::trim_end)
+            .filter(|l| parse_flat_object(l).is_some_and(|obj| obj.contains_key("key")))
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// The pre-index `query` implementation: a full linear rescan of
+    /// every checkpoint per request. Kept as the reference the indexed
+    /// path is equivalence-tested against.
+    fn query_scan(store: &ResultStore, q: &ResultQuery) -> Vec<String> {
+        let mut out = Vec::new();
+        for rec in store.jobs() {
+            if q.job.is_some_and(|id| id != rec.id) {
+                continue;
+            }
+            for line in scan_lines(&store.checkpoint_path(rec.id)) {
+                let Some(obj) = parse_flat_object(&line) else {
+                    continue;
+                };
+                let field = |k: &str| {
+                    obj.get(k)
+                        .and_then(|v| v.as_str())
+                        .unwrap_or("")
+                        .to_lowercase()
+                };
+                if !q.device.is_empty() && !field("device").contains(&q.device.to_lowercase()) {
+                    continue;
+                }
+                let key = field("key");
+                if !q.config.is_empty() && !key.contains(&q.config.to_lowercase()) {
+                    continue;
+                }
+                if !q.op.is_empty() && !key.contains(&format!("op: {}", q.op.to_lowercase())) {
+                    continue;
+                }
+                // Splice provenance in front: the line is `{...}`.
+                out.push(format!("{{\"job\":{},{}", rec.id, &line[1..]));
+            }
+        }
+        out
+    }
+
+    /// A checkpoint record line for `op` at size `n` on `device`.
+    fn record_line(op: &str, n: u32, device: &str) -> String {
+        format!(
+            "{{\"key\":\"KernelConfig {{ op: {op}, n: {n} }}\",\"retries\":0,\
+             \"status\":\"ok\",\"device\":\"{device}\"}}"
+        )
     }
 
     #[test]
@@ -861,18 +884,12 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         store.record(&sample(1, JobState::Done)).unwrap();
         store.record(&sample(2, JobState::Running)).unwrap();
-        let rec = |op: &str, n: u32, device: &str| {
-            format!(
-                "{{\"key\":\"KernelConfig {{ op: {op}, n: {n} }}\",\"retries\":0,\
-                 \"status\":\"ok\",\"device\":\"{device}\"}}"
-            )
-        };
         std::fs::write(
             store.checkpoint_path(1),
             format!(
                 "{}\n{}\n",
-                rec("Copy", 1024, "Xeon (sim)"),
-                rec("Triad", 2048, "Xeon (sim)")
+                record_line("Copy", 1024, "Xeon (sim)"),
+                record_line("Triad", 2048, "Xeon (sim)")
             ),
         )
         .unwrap();
@@ -902,7 +919,7 @@ mod tests {
             },
         ];
         for q in &queries {
-            assert_eq!(store.query(q), store.query_scan(q), "{q:?}");
+            assert_eq!(store.query(q), query_scan(&store, q), "{q:?}");
         }
 
         // Out-of-band append (what the engine does): the index must
@@ -912,11 +929,11 @@ mod tests {
                 .append(true)
                 .open(store.checkpoint_path(1))
                 .unwrap();
-            writeln!(f, "{}", rec("Add", 4096, "Stratix V (sim)")).unwrap();
+            writeln!(f, "{}", record_line("Add", 4096, "Stratix V (sim)")).unwrap();
         }
         // Append through the store API (what the cluster merge does).
         store
-            .append_result_lines(2, &[rec("Scale", 512, "Titan (sim)")])
+            .append_result_lines(2, &[record_line("Scale", 512, "Titan (sim)")])
             .unwrap();
         // A corrupt torn tail is excluded by both paths.
         {
@@ -927,16 +944,96 @@ mod tests {
             write!(f, "{{\"key\":\"torn").unwrap();
         }
         for q in &queries {
-            assert_eq!(store.query(q), store.query_scan(q), "after append: {q:?}");
+            assert_eq!(store.query(q), query_scan(&store, q), "after append: {q:?}");
         }
         assert_eq!(store.query(&ResultQuery::default()).len(), 4);
 
-        // Reopen rebuilds the index from the compacted files.
+        // Reopen indexes the compacted files on first read.
         drop(store);
         let store = ResultStore::open(&dir).unwrap();
         for q in &queries {
-            assert_eq!(store.query(q), store.query_scan(q), "after reopen: {q:?}");
+            assert_eq!(store.query(q), query_scan(&store, q), "after reopen: {q:?}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A parseable record whose newline has not landed is still in
+    /// flight: every reader skips it until the newline is written.
+    #[test]
+    fn every_reader_skips_an_unterminated_record() {
+        let dir = temp_dir("unterminated");
+        let store = ResultStore::open(&dir).unwrap();
+        store.record(&sample(1, JobState::Running)).unwrap();
+        let path = store.checkpoint_path(1);
+        let counts = || {
+            let (page, total) = store.result_page(1, 0, usize::MAX);
+            let job = ResultQuery {
+                job: Some(1),
+                ..Default::default()
+            };
+            [
+                store.done_points(1),
+                store.result_lines(1).len(),
+                page.len(),
+                total,
+                store.query(&job).len(),
+            ]
+        };
+        std::fs::write(
+            &path,
+            format!(
+                "{}\n{}",
+                record_line("Copy", 1024, "Xeon (sim)"),
+                record_line("Triad", 1024, "Xeon (sim)")
+            ),
+        )
+        .unwrap();
+        assert_eq!(counts(), [1; 5], "unterminated record counted");
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"\n").unwrap();
+        assert_eq!(counts(), [2; 5], "terminated record missed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Pages come from the index: each `(offset, limit)` page equals the
+    /// matching slice of a direct file read, and the total tracks the
+    /// file through appends and a compaction that shrinks it.
+    #[test]
+    fn result_pages_match_the_file_through_appends_and_compaction() {
+        let dir = temp_dir("pages");
+        let store = ResultStore::open(&dir).unwrap();
+        store.record(&sample(1, JobState::Running)).unwrap();
+        let path = store.checkpoint_path(1);
+        let records = |ops: &[&str]| -> Vec<String> {
+            ops.iter()
+                .map(|op| record_line(op, 1024, "Xeon (sim)"))
+                .collect()
+        };
+        let pages_match_file = |stage: &str| {
+            let file = scan_lines(&path);
+            let total = file.len();
+            for offset in [0, total / 2, total, total + 3] {
+                for limit in [1, usize::MAX] {
+                    let want: Vec<String> = file.iter().skip(offset).take(limit).cloned().collect();
+                    let got = store.result_page(1, offset, limit);
+                    assert_eq!(got, (want, total), "{stage}: offset {offset} limit {limit}");
+                }
+            }
+            total
+        };
+        store
+            .append_result_lines(1, &records(&["Copy", "Scale", "Add"]))
+            .unwrap();
+        assert_eq!(pages_match_file("first append"), 3);
+        // A re-leased shard lands some records a second time.
+        store
+            .append_result_lines(1, &records(&["Triad", "Copy", "Scale"]))
+            .unwrap();
+        assert_eq!(pages_match_file("second append"), 6);
+        let before = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(Checkpoint::compact(&path).unwrap().superseded, 2);
+        assert!(std::fs::metadata(&path).unwrap().len() < before);
+        assert_eq!(pages_match_file("after compaction"), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
