@@ -288,11 +288,6 @@ impl MemHierarchy {
         self.dram.reset();
     }
 
-    /// Run a complete access stream and return its cost.
-    pub fn run(&mut self, stream: impl IntoIterator<Item = Access>) -> StreamOutcome {
-        self.run_engine(stream.into_iter())
-    }
-
     fn line_bytes(&self) -> u64 {
         self.caches
             .first()
@@ -300,20 +295,11 @@ impl MemHierarchy {
             .unwrap_or(0)
     }
 
-    /// Route a stream through the batched fast engine, or the original
-    /// per-request reference engine when `MPSTREAM_SIM_SLOW=1` (see
-    /// [`crate::slowpath`]). Both produce byte-identical outcomes; the
-    /// reference is kept verbatim as the oracle the equivalence suite
-    /// diffs against.
-    fn run_engine(&mut self, stream: impl Iterator<Item = Access>) -> StreamOutcome {
-        if crate::slowpath::slow() {
-            self.run_engine_reference(stream)
-        } else {
-            self.run_engine_fast(stream)
-        }
-    }
-
-    fn run_engine_reference(&mut self, stream: impl Iterator<Item = Access>) -> StreamOutcome {
+    /// Run a complete access stream through the original per-request
+    /// engine and return its cost. Byte-identical to [`run`](Self::run);
+    /// kept verbatim as the oracle the equivalence suite diffs the fast
+    /// engine against (`MPSTREAM_SIM_SLOW=1`, see [`crate::slowpath`]).
+    pub fn run_reference(&mut self, stream: impl IntoIterator<Item = Access>) -> StreamOutcome {
         let mut stats = MemStats::new();
         // Snapshot cumulative model counters so the outcome reports
         // per-run deltas even when state is carried across runs.
@@ -572,23 +558,25 @@ impl MemHierarchy {
         *last_done = last_done.max(done_ns);
     }
 
-    /// The batched engine. Semantics-preserving differences from
-    /// [`run_engine_reference`](Self::run_engine_reference):
+    /// Run a complete access stream through the batched engine and return
+    /// its cost. Semantics-preserving differences from
+    /// [`run_reference`](Self::run_reference):
     ///
-    /// * accesses are pulled in chunks of [`CHUNK`] so TLB lookups for
-    ///   runs of same-page accesses collapse into one probe plus an O(1)
-    ///   batch update ([`Tlb::access_run`]) — later accesses of a run are
+    /// * accesses are pulled in fixed-size chunks so TLB lookups for runs
+    ///   of same-page accesses collapse into one probe plus an O(1) batch
+    ///   update ([`Tlb::access_run`]) — later accesses of a run are
     ///   guaranteed hits on the just-touched entry and contribute no
     ///   walk time;
-    /// * the MLP window is a [`DoneHeap`] instead of a linearly scanned
-    ///   `Vec`;
+    /// * the MLP window is a binary min-heap instead of a linearly
+    ///   scanned `Vec`;
     /// * the prefetch in-flight table uses a multiplicative hasher;
     /// * prefetch addresses land in a reusable buffer instead of a fresh
     ///   allocation per miss.
     ///
     /// Every floating-point operation happens in the same order with the
     /// same operands as the reference, so outcomes are byte-identical.
-    fn run_engine_fast(&mut self, mut stream: impl Iterator<Item = Access>) -> StreamOutcome {
+    pub fn run(&mut self, stream: impl IntoIterator<Item = Access>) -> StreamOutcome {
+        let mut stream = stream.into_iter();
         let mut stats = MemStats::new();
         let cache_base: Vec<(u64, u64)> =
             self.caches.iter().map(|c| (c.hits(), c.misses())).collect();
@@ -1053,8 +1041,8 @@ mod tests {
     /// Run the same stream through the reference and fast engines on
     /// twin hierarchies; outcomes must match to the bit.
     fn assert_paths_identical(mut a: MemHierarchy, mut b: MemHierarchy, accs: &[Access]) {
-        let slow = a.run_engine_reference(accs.iter().copied());
-        let fast = b.run_engine_fast(accs.iter().copied());
+        let slow = a.run_reference(accs.iter().copied());
+        let fast = b.run(accs.iter().copied());
         assert_eq!(
             slow.ns.to_bits(),
             fast.ns.to_bits(),
@@ -1135,17 +1123,6 @@ mod tests {
             })
             .collect();
         assert_paths_identical(mk(), mk(), &accs);
-    }
-
-    #[test]
-    fn dispatcher_selects_fast_path_by_default() {
-        // `run` must agree with both engines regardless of the mode the
-        // process latched — the contract the whole PR rests on.
-        let accs: Vec<Access> = seq_reads(10_000, 4).collect();
-        let via_run = cpu_like(8, true).run(accs.iter().copied());
-        let via_fast = cpu_like(8, true).run_engine_fast(accs.iter().copied());
-        assert_eq!(via_run.ns.to_bits(), via_fast.ns.to_bits());
-        assert_eq!(via_run.stats, via_fast.stats);
     }
 
     #[test]

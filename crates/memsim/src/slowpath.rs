@@ -1,11 +1,19 @@
 //! The `MPSTREAM_SIM_SLOW` oracle switch.
 //!
-//! The hierarchy engine and the target-layer cost memo both ship a fast
-//! path whose contract is *byte-identical output* to the original
-//! per-request implementation. Setting `MPSTREAM_SIM_SLOW=1` routes every
-//! simulation through the original code and disables the memo, turning
-//! the slow path into a reference oracle the equivalence suite (and any
+//! The target layer's stream pipelines, the hierarchy engine and the
+//! target layer's two simulation memos all ship a fast path whose
+//! contract is *byte-identical output* to the original per-request
+//! implementation. Setting `MPSTREAM_SIM_SLOW=1` routes every simulation
+//! through the original code and disables both memos, turning the slow
+//! path into a reference oracle the equivalence suite (and any
 //! suspicious user) can diff the fast path against.
+//!
+//! This crate never reads the switch itself: `targets::common::run_plan`
+//! reads it once per simulation and picks the pipeline, the engine
+//! ([`MemHierarchy::run`](crate::MemHierarchy::run) or
+//! [`MemHierarchy::run_reference`](crate::MemHierarchy::run_reference))
+//! and the stream memo together; the per-plan kernel-cost memo reads it
+//! to bypass itself.
 //!
 //! The environment is read once; tests can override the mode at runtime
 //! with [`force`] to compare both paths inside one process.
@@ -36,8 +44,8 @@ pub fn slow() -> bool {
 }
 
 /// Force the mode for the rest of the process (overrides the
-/// environment). Used by the self-benchmark and the equivalence tests to
-/// exercise both paths in one process.
+/// environment). Used by the equivalence tests to exercise both paths in
+/// one process.
 pub fn force(slow: bool) {
     MODE.store(if slow { SLOW } else { FAST }, Ordering::Relaxed);
 }

@@ -17,9 +17,7 @@
 use crate::common::run_plan;
 use crate::resources::{FpgaCapacity, ResourceModel};
 use kernelgen::{ExecPlan, KernelConfig, LoopMode, VendorOpts};
-use memsim::{
-    Coalescer, DramConfig, Link, LinkConfig, MemHierarchy, MemHierarchyConfig, WritePolicy,
-};
+use memsim::{Coalescer, DramConfig, Link, LinkConfig, MemHierarchyConfig, WritePolicy};
 use mpcl::{BuildArtifact, ClError, DeviceBackend, DeviceInfo, DeviceType, KernelCost, PowerModel};
 
 /// Tuning constants of the AOCL model.
@@ -189,7 +187,7 @@ impl AoclBackend {
         };
         let issue = base / (cfg.unroll.max(1) as f64) / cus as f64;
 
-        let mut h = MemHierarchy::new(MemHierarchyConfig {
+        let hierarchy = MemHierarchyConfig {
             caches: vec![],
             hit_ns: vec![],
             tlb: None,
@@ -201,9 +199,9 @@ impl AoclBackend {
             dram_extra_latency_ns: t.dram_extra_latency_ns,
             write_policy: WritePolicy::WriteAllocate, // no caches: unused
             wc_flush_bytes: 512,
-        });
+        };
         let co = Coalescer::extent(t.lsu_max_burst_bytes, t.lsu_burst_elems as usize);
-        let out = run_plan(&mut h, plan, artifact.lane_group, Some(co), t.sample_cap);
+        let out = run_plan(hierarchy, plan, artifact.lane_group, Some(co), t.sample_cap);
 
         // The hierarchy paces *bursts*; the pipeline's initiation
         // interval is per kernel-side access — a scalar pipeline cannot
@@ -281,7 +279,7 @@ impl DeviceBackend for AoclBackend {
 
     fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
         let key = crate::common::cost_key("aocl", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(key, || self.kernel_cost_uncached(artifact, plan))
+        crate::common::memoized_kernel_cost(&key, || self.kernel_cost_uncached(artifact, plan))
     }
 
     fn transfer_ns(&mut self, bytes: u64) -> f64 {

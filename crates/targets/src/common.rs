@@ -2,18 +2,60 @@
 
 use kernelgen::access::memaccess;
 use kernelgen::{access_stream, total_accesses, ExecPlan};
-use memsim::{Access, AccessKind, Coalescer, MemHierarchy, StreamOutcome};
+use memsim::{Access, AccessKind, Coalescer, MemHierarchy, MemHierarchyConfig, StreamOutcome};
 use mpcl::backend::{BuildArtifact, KernelCost};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::hash::{BuildHasherDefault, DefaultHasher};
+use std::sync::Mutex;
 
-/// Entries the kernel-cost memo holds before wholesale eviction. A sweep
-/// touches one entry per distinct (device, config) pair — a few hundred
-/// for the paper's full space — so the cap only guards against unbounded
+/// Entries each simulation memo holds before wholesale eviction. A sweep
+/// touches one kernel-cost entry per distinct (device, config) pair — a
+/// few hundred for the paper's full space — and at most one stream entry
+/// per kernel-cost entry, so the cap only guards against unbounded
 /// growth in pathological DSE campaigns.
-const COST_MEMO_CAP: usize = 8192;
+const MEMO_CAP: usize = 8192;
 
-static COST_MEMO: OnceLock<Mutex<HashMap<String, KernelCost>>> = OnceLock::new();
+/// 128-bit FNV-1a digest of a memo key. The memos keep this instead of
+/// the ~1 KB key string; for the at most [`MEMO_CAP`] live keys of one
+/// memo, the birthday bound on an accidental collision is below 2^-100.
+fn digest(key: &str) -> u128 {
+    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+    key.bytes()
+        .fold(OFFSET, |h, b| (h ^ u128::from(b)).wrapping_mul(PRIME))
+}
+
+/// A process-wide memo from the [`digest`] of a key to a computed value,
+/// cleared wholesale once it holds [`MEMO_CAP`] entries. The lock is not
+/// held while a value is computed, so workers simulate concurrently; two
+/// that miss on the same key both compute it, with identical results.
+struct Memo<V>(Mutex<HashMap<u128, V, BuildHasherDefault<DefaultHasher>>>);
+
+impl<V: Clone> Memo<V> {
+    const fn new() -> Self {
+        Memo(Mutex::new(HashMap::with_hasher(BuildHasherDefault::new())))
+    }
+
+    fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> V) -> V {
+        let digest = digest(key);
+        if let Some(hit) = self.0.lock().expect("memo lock").get(&digest) {
+            return hit.clone();
+        }
+        let value = compute();
+        let mut memo = self.0.lock().expect("memo lock");
+        if memo.len() >= MEMO_CAP {
+            memo.clear();
+        }
+        memo.insert(digest, value.clone());
+        value
+    }
+}
+
+/// First level: kernel costs per [`cost_key`].
+static COST_MEMO: Memo<KernelCost> = Memo::new();
+
+/// Second level: [`run_plan`] outcomes per [`stream_key`].
+static STREAM_MEMO: Memo<StreamOutcome> = Memo::new();
 
 /// Build the memo key for a kernel launch: everything
 /// [`memoized_kernel_cost`] callers may read while computing the cost.
@@ -31,32 +73,28 @@ pub fn cost_key(
     )
 }
 
-/// Memoize a kernel-cost computation per `(config, target)` key.
+/// Memoize a kernel-cost computation per `(config, target)` key, the
+/// first of two memo levels.
 ///
-/// Every backend's `kernel_cost` builds a *fresh* hierarchy from its
-/// tuning and runs the plan through it — a pure function of the key — so
-/// replaying a cached result is byte-identical to recomputing it. Sweeps
-/// hit the same key constantly (warmup plus measured launches of every
-/// point, repeated configurations across DSE rounds), which makes this
-/// the single largest throughput lever in the stack.
+/// Every backend's `kernel_cost` is a pure function of [`cost_key`]: it
+/// runs the plan through a *cold* hierarchy built from its tuning, then
+/// applies closed-form steps. Replaying a cached result is therefore
+/// byte-identical to recomputing it. This level absorbs the warm-up and
+/// timed launches of every point and configurations repeated across DSE
+/// rounds. It keeps a 128-bit digest of `key`, not the string.
 ///
-/// Under `MPSTREAM_SIM_SLOW=1` the memo is bypassed entirely, keeping
-/// the slow path a launch-for-launch oracle.
-pub fn memoized_kernel_cost(key: String, compute: impl FnOnce() -> KernelCost) -> KernelCost {
+/// A miss here reaches [`run_plan`], whose second level answers every
+/// plan whose hierarchy would see the same stream (all unroll factors on
+/// the CPU and GPU models, AOCL's flat and nested loops, COPY and
+/// SCALE), so such a miss recomputes only the closed-form steps.
+///
+/// Under `MPSTREAM_SIM_SLOW=1` both levels are bypassed, keeping the
+/// slow path a launch-for-launch oracle.
+pub fn memoized_kernel_cost(key: &str, compute: impl FnOnce() -> KernelCost) -> KernelCost {
     if memsim::slowpath::slow() {
         return compute();
     }
-    let memo = COST_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = memo.lock().expect("cost memo lock").get(&key) {
-        return hit.clone();
-    }
-    let cost = compute();
-    let mut m = memo.lock().expect("cost memo lock");
-    if m.len() >= COST_MEMO_CAP {
-        m.clear();
-    }
-    m.insert(key, cost.clone());
-    cost
+    COST_MEMO.get_or_compute(key, compute)
 }
 
 /// Fraction of a kernel's counted accesses the *producer* (`_load`)
@@ -133,7 +171,8 @@ pub fn to_mem(a: memaccess::Access) -> Access {
     }
 }
 
-/// Run a kernel plan's access stream through a memory hierarchy.
+/// Run a kernel plan's access stream through a cold memory hierarchy
+/// built from `hierarchy`.
 ///
 /// * `lane_group` — how many consecutive iterations are emitted in
 ///   lock-step (warp width / LSU burst buffer / unroll replication);
@@ -142,8 +181,18 @@ pub fn to_mem(a: memaccess::Access) -> Access {
 /// * `sample_cap` — at most this many *kernel-side* accesses are
 ///   simulated; longer streams are extrapolated linearly from the
 ///   simulated prefix (streaming workloads are steady-state).
+///
+/// Extrapolation scales and truncates each DRAM counter on its own, so on
+/// a sampled run `row_hits + row_misses + row_empty` may fall up to 2
+/// short of `dram_transactions`; on an unsampled run they sum exactly.
+///
+/// The outcome is memoized process-wide under a key made of everything
+/// the hierarchy sees: its configuration, the coalescer, the sample size,
+/// the nominal stream length and the initial state of the access or
+/// burst generator. Under `MPSTREAM_SIM_SLOW=1` the reference pipeline
+/// and engine run instead, unmemoized.
 pub fn run_plan(
-    hierarchy: &mut MemHierarchy,
+    hierarchy: MemHierarchyConfig,
     plan: &ExecPlan,
     lane_group: u32,
     coalescer: Option<Coalescer>,
@@ -151,17 +200,20 @@ pub fn run_plan(
 ) -> StreamOutcome {
     let total = total_accesses(&plan.cfg);
     let take = total.min(sample_cap.max(1));
-    let mut out = if memsim::slowpath::slow() {
-        // Reference pipeline: per-access iterator chain plus the
-        // allocating coalescer adapter, exactly as originally written.
+    if memsim::slowpath::slow() {
+        // Reference pipeline and engine: per-access iterator chain plus
+        // the allocating coalescer adapter, exactly as originally written.
         let stream = access_stream(plan, lane_group)
             .take(take as usize)
             .map(to_mem);
-        match coalescer {
-            Some(co) => hierarchy.run(co.coalesce(stream)),
-            None => hierarchy.run(stream),
-        }
-    } else if let Some(co) = BurstStream::applies(plan, lane_group, coalescer) {
+        let mut h = MemHierarchy::new(hierarchy);
+        let out = match coalescer {
+            Some(co) => h.run_reference(co.coalesce(stream)),
+            None => h.run_reference(stream),
+        };
+        return extrapolate(out, take, total);
+    }
+    if let Some(co) = BurstStream::applies(plan, lane_group, coalescer) {
         // Fused pipeline: for a contiguous traversal whose coalescing
         // window equals the lane group, every window is exactly one
         // instruction's unit-stride run, so the coalesced bursts are a
@@ -169,18 +221,67 @@ pub fn run_plan(
         // burst sequence the reference chain produces (asserted by
         // `burst_stream_matches_reference_chain` below) at per-burst
         // instead of per-access cost.
-        hierarchy.run(BurstStream::new(plan, lane_group, take, co))
+        let bursts = BurstStream::new(plan, lane_group, take, co);
+        let key = stream_key(&hierarchy, coalescer, take, total, &bursts);
+        STREAM_MEMO.get_or_compute(&key, || {
+            extrapolate(simulate(hierarchy, bursts), take, total)
+        })
     } else {
         // Fast pipeline: batch-generate the access stream and reuse the
         // coalescer's buffers. Produces the identical request sequence
         // (asserted by `fast_and_slow_pipelines_match` below and by the
         // memsim equivalence suite), so `ns` stays bit-identical.
-        let stream = BatchedStream::new(access_stream(plan, lane_group), take);
-        match coalescer {
-            Some(co) => hierarchy.run(co.coalesce_buffered(stream)),
-            None => hierarchy.run(stream),
-        }
-    };
+        let accesses = access_stream(plan, lane_group);
+        let key = stream_key(&hierarchy, coalescer, take, total, &accesses);
+        STREAM_MEMO.get_or_compute(&key, || {
+            let stream = BatchedStream::new(accesses, take);
+            let out = match coalescer {
+                Some(co) => simulate(hierarchy, co.coalesce_buffered(stream)),
+                None => simulate(hierarchy, stream),
+            };
+            extrapolate(out, take, total)
+        })
+    }
+}
+
+/// The second-level memo key: the hierarchy's configuration, the
+/// coalescer, the sample `take`, the nominal `total` and the initial
+/// state of the generator that feeds the hierarchy, all rendered with
+/// derived `Debug` (a field added to any of them joins the key).
+///
+/// It is complete because a cold hierarchy is a deterministic function
+/// of its configuration and its input sequence, and the generator — a
+/// deterministic state machine — fixes that sequence from its initial
+/// state, as the coalescer and `take` fix what reaches the hierarchy.
+/// `total` fixes the extrapolation. Fields of the plan that the generator
+/// does not hold, such as the unroll factor, cannot change what the
+/// hierarchy sees, so they stay out of the key.
+fn stream_key(
+    hierarchy: &MemHierarchyConfig,
+    coalescer: Option<Coalescer>,
+    take: u64,
+    total: u64,
+    generator: &impl std::fmt::Debug,
+) -> String {
+    format!("{hierarchy:?}|{coalescer:?}|take={take}|total={total}|{generator:?}")
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fast-path hierarchy runs on this thread, counted for the memo tests.
+    static SIMULATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Run `stream` through a cold hierarchy on the fast engine.
+fn simulate(hierarchy: MemHierarchyConfig, stream: impl Iterator<Item = Access>) -> StreamOutcome {
+    #[cfg(test)]
+    SIMULATIONS.with(|n| n.set(n.get() + 1));
+    MemHierarchy::new(hierarchy).run(stream)
+}
+
+/// Scale a run of the first `take` of `total` accesses up to the whole
+/// stream.
+fn extrapolate(mut out: StreamOutcome, take: u64, total: u64) -> StreamOutcome {
     if take < total {
         let scale = total as f64 / take as f64;
         out.ns *= scale;
@@ -258,6 +359,7 @@ impl Iterator for BatchedStream {
 /// `ceil(lane_group / floor(segment_bytes / vector_bytes))` bursts whose
 /// addresses and lengths follow directly from the run geometry — no
 /// per-access work at all.
+#[derive(Debug)]
 struct BurstStream {
     /// Bytes per vector element.
     vb: u64,
@@ -368,13 +470,12 @@ impl Iterator for BurstStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernelgen::{KernelConfig, StreamOp};
-    use memsim::{
-        CacheConfig, DramConfig, MemHierarchyConfig, PrefetchConfig, TlbConfig, WritePolicy,
-    };
+    use kernelgen::{AccessPattern, KernelConfig, LoopMode, StreamOp, VectorWidth};
+    use memsim::{CacheConfig, DramConfig, PrefetchConfig, TlbConfig, WritePolicy};
+    use mpcl::backend::DeviceBackend;
 
-    fn hierarchy() -> MemHierarchy {
-        MemHierarchy::new(MemHierarchyConfig {
+    fn hierarchy() -> MemHierarchyConfig {
+        MemHierarchyConfig {
             caches: vec![CacheConfig {
                 size_bytes: 32 * 1024,
                 ways: 8,
@@ -394,7 +495,7 @@ mod tests {
             dram_extra_latency_ns: 40.0,
             write_policy: WritePolicy::Streaming,
             wc_flush_bytes: 512,
-        })
+        }
     }
 
     /// Serializes the tests that flip the process-wide slow-path mode,
@@ -426,15 +527,15 @@ mod tests {
     #[test]
     fn full_run_counts_all_accesses() {
         let p = plan(1 << 12);
-        let out = run_plan(&mut hierarchy(), &p, 1, None, u64::MAX);
+        let out = run_plan(hierarchy(), &p, 1, None, u64::MAX);
         assert_eq!(out.simulated_accesses, 2 << 12);
     }
 
     #[test]
     fn sampled_run_extrapolates() {
         let p = plan(1 << 16);
-        let full = run_plan(&mut hierarchy(), &p, 1, None, u64::MAX);
-        let sampled = run_plan(&mut hierarchy(), &p, 1, None, 1 << 14);
+        let full = run_plan(hierarchy(), &p, 1, None, u64::MAX);
+        let sampled = run_plan(hierarchy(), &p, 1, None, 1 << 14);
         let ratio = sampled.ns / full.ns;
         assert!(ratio > 0.7 && ratio < 1.4, "ratio {ratio}");
     }
@@ -453,11 +554,11 @@ mod tests {
         };
         let key = "test-device|memo_caches_per_key".to_string();
         let mut calls = 0u32;
-        let first = memoized_kernel_cost(key.clone(), || {
+        let first = memoized_kernel_cost(&key, || {
             calls += 1;
             cost.clone()
         });
-        let second = memoized_kernel_cost(key.clone(), || {
+        let second = memoized_kernel_cost(&key, || {
             calls += 1;
             cost.clone()
         });
@@ -466,12 +567,164 @@ mod tests {
         assert_eq!(first.ns.to_bits(), cost.ns.to_bits());
 
         memsim::slowpath::force(true);
-        memoized_kernel_cost(key, || {
+        memoized_kernel_cost(&key, || {
             calls += 1;
             cost.clone()
         });
         assert_eq!(calls, 2, "slow mode must recompute every launch");
         memsim::slowpath::force(was_slow);
+    }
+
+    /// Fast-path hierarchy runs `f` makes on this thread.
+    fn simulations(f: impl FnOnce()) -> u64 {
+        let before = SIMULATIONS.with(|n| n.get());
+        f();
+        SIMULATIONS.with(|n| n.get()) - before
+    }
+
+    /// A plan on buffers at `base`, an address no other test uses, so no
+    /// entry another test left in the process-wide memos can answer it.
+    fn plan_at(cfg: KernelConfig, base: u64) -> ExecPlan {
+        let bytes = cfg.array_bytes();
+        ExecPlan::new(cfg, base, base + bytes, base + 2 * bytes)
+    }
+
+    #[test]
+    fn digest_matches_published_fnv1a_128_vectors() {
+        assert_eq!(digest(""), 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
+        assert_eq!(digest("a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
+    }
+
+    #[test]
+    fn unroll_factors_share_one_hierarchy_run() {
+        let _guard = SLOW_MODE.lock().unwrap();
+        let was_slow = memsim::slowpath::slow();
+        memsim::slowpath::force(false);
+        let mut cpu = crate::cpu::CpuBackend::new();
+        let mut costs = Vec::new();
+        let runs = simulations(|| {
+            for unroll in [1, 2] {
+                let mut cfg = KernelConfig::baseline(StreamOp::Copy, 1 << 12);
+                cfg.pattern = AccessPattern::ColMajor { cols: None };
+                cfg.unroll = unroll;
+                let art = cpu.build(&cfg).unwrap();
+                costs.push(cpu.kernel_cost(&art, &plan_at(cfg, 0x5eed_0000_0000)));
+            }
+        });
+        memsim::slowpath::force(was_slow);
+        assert_eq!(runs, 1, "unroll 2 must reuse unroll 1's hierarchy run");
+        assert_eq!(costs[0], costs[1]);
+    }
+
+    #[test]
+    fn stream_memo_splits_on_everything_the_hierarchy_sees() {
+        let _guard = SLOW_MODE.lock().unwrap();
+        let was_slow = memsim::slowpath::slow();
+        memsim::slowpath::force(false);
+        // The generic and the fused pipeline, each on its own buffers.
+        let pipelines = [
+            (Coalescer::new(128, 16), 0xa11c_e000_0000),
+            (Coalescer::extent(512, 16), 0xb0b0_0000_0000),
+        ];
+        for (co, base) in pipelines {
+            let p = plan_at(KernelConfig::baseline(StreamOp::Copy, 1 << 10), base);
+            let run = |h: MemHierarchyConfig, p: &ExecPlan, co: Option<Coalescer>, cap: u64| {
+                simulations(|| {
+                    run_plan(h, p, 16, co, cap);
+                })
+            };
+            let first = run(hierarchy(), &p, Some(co), 1000);
+            let repeat = run(hierarchy(), &p, Some(co), 1000);
+            assert_eq!((first, repeat), (1, 0), "{co:?}: only the repeat hits");
+
+            let mut mlp = hierarchy();
+            mlp.mlp += 1;
+            let mut latency = hierarchy();
+            latency.dram_extra_latency_ns = f64::from_bits(40f64.to_bits() + 1);
+            let mut moved = p.clone();
+            moved.base_b += 64;
+            let other_co = Coalescer::new(64, 16);
+            let variants = [
+                ("mlp", mlp, &p, Some(co), 1000),
+                ("f64 latency, one ulp", latency, &p, Some(co), 1000),
+                ("base_b", hierarchy(), &moved, Some(co), 1000),
+                ("take", hierarchy(), &p, Some(co), 999),
+                ("no coalescer", hierarchy(), &p, None, 1000),
+                ("other coalescer", hierarchy(), &p, Some(other_co), 1000),
+            ];
+            for (what, h, plan, co, cap) in variants {
+                assert_eq!(run(h, plan, co, cap), 1, "{what} must not share an entry");
+            }
+        }
+        memsim::slowpath::force(was_slow);
+    }
+
+    #[test]
+    fn row_counters_sum_to_dram_transactions_within_the_extrapolation_bound() {
+        fn backend(target: usize, sample_cap: u64) -> Box<dyn DeviceBackend> {
+            match target {
+                0 => Box::new(crate::cpu::CpuBackend::with_tuning(crate::cpu::CpuTuning {
+                    sample_cap,
+                    ..Default::default()
+                })),
+                1 => Box::new(crate::gpu::GpuBackend::with_tuning(crate::gpu::GpuTuning {
+                    sample_cap,
+                    ..Default::default()
+                })),
+                2 => Box::new(crate::aocl::AoclBackend::with_tuning(
+                    crate::aocl::AoclTuning {
+                        sample_cap,
+                        ..Default::default()
+                    },
+                )),
+                _ => Box::new(crate::sdaccel::SdaccelBackend::with_tuning(
+                    crate::sdaccel::SdaccelTuning {
+                        sample_cap,
+                        ..Default::default()
+                    },
+                )),
+            }
+        }
+        let mut state = 0x00C0_FFEE_0005u64;
+        let mut pick = |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for i in 0..32 {
+            let target = i % 4;
+            let op = kernelgen::Op::FAMILIES[pick(kernelgen::Op::FAMILIES.len())];
+            let sampled = i % 8 < 4;
+            let mut cfg = KernelConfig::baseline(op, if sampled { 1 << 14 } else { 1 << 10 });
+            cfg.loop_mode = LoopMode::ALL[pick(3)];
+            if op.is_stream() {
+                cfg.vector_width = VectorWidth::new([1, 2, 4][pick(3)]).unwrap();
+                cfg.pattern = [
+                    AccessPattern::Contiguous,
+                    AccessPattern::ColMajor { cols: None },
+                    AccessPattern::Strided { stride: 4 },
+                ][pick(3)];
+            }
+            let cap = if sampled { 1500 } else { u64::MAX };
+            let mut b = backend(target, cap);
+            let art = b.build(&cfg).unwrap();
+            let plan = plan_at(cfg, 4096);
+            let s = b.kernel_cost(&art, &plan).stats;
+            let rows = s.row_hits + s.row_misses + s.row_empty;
+            let ctx = format!("sample {i}: target {target} {op:?} {:?}", plan.cfg.pattern);
+            if sampled {
+                assert!(total_accesses(&plan.cfg) > cap, "{ctx}: not sampled");
+                assert!(
+                    rows <= s.dram_transactions && rows + 2 >= s.dram_transactions,
+                    "{ctx}: rows {rows} vs {} transactions",
+                    s.dram_transactions
+                );
+            } else {
+                assert_eq!(rows, s.dram_transactions, "{ctx}: unsampled rows");
+            }
+        }
     }
 
     #[test]
@@ -555,9 +808,9 @@ mod tests {
                 for cap in [u64::MAX, 1 << 10, 777] {
                     let p = plan(1 << 11);
                     memsim::slowpath::force(true);
-                    let slow = run_plan(&mut hierarchy(), &p, lane, co, cap);
+                    let slow = run_plan(hierarchy(), &p, lane, co, cap);
                     memsim::slowpath::force(false);
-                    let fast = run_plan(&mut hierarchy(), &p, lane, co, cap);
+                    let fast = run_plan(hierarchy(), &p, lane, co, cap);
                     memsim::slowpath::force(was_slow);
                     assert_eq!(
                         fast.ns.to_bits(),
@@ -642,8 +895,8 @@ mod tests {
     fn coalescer_reduces_dram_transactions() {
         let p = plan(1 << 12);
         let co = Coalescer::extent(512, 16);
-        let without = run_plan(&mut hierarchy(), &p, 16, None, u64::MAX);
-        let with = run_plan(&mut hierarchy(), &p, 16, Some(co), u64::MAX);
+        let without = run_plan(hierarchy(), &p, 16, None, u64::MAX);
+        let with = run_plan(hierarchy(), &p, 16, Some(co), u64::MAX);
         // Both go through caches at line granularity, so DRAM traffic is
         // similar, but the coalesced stream is never slower.
         assert!(with.ns <= without.ns * 1.05);

@@ -14,8 +14,8 @@
 use crate::common::run_plan;
 use kernelgen::{ExecPlan, KernelConfig, LoopMode};
 use memsim::{
-    CacheConfig, DramConfig, Link, LinkConfig, MemHierarchy, MemHierarchyConfig, PrefetchConfig,
-    TlbConfig, WritePolicy,
+    CacheConfig, DramConfig, Link, LinkConfig, MemHierarchyConfig, PrefetchConfig, TlbConfig,
+    WritePolicy,
 };
 use mpcl::{BuildArtifact, ClError, DeviceBackend, DeviceInfo, DeviceType, KernelCost, PowerModel};
 
@@ -113,7 +113,7 @@ impl CpuBackend {
         &self.tuning
     }
 
-    fn hierarchy_for(&self, cfg: &KernelConfig) -> MemHierarchy {
+    fn hierarchy_config(&self, cfg: &KernelConfig) -> MemHierarchyConfig {
         let t = &self.tuning;
         // NDRange uses every core; a single work-item is one thread.
         let active = if cfg.loop_mode == LoopMode::NdRange {
@@ -121,7 +121,7 @@ impl CpuBackend {
         } else {
             1
         } as f64;
-        MemHierarchy::new(MemHierarchyConfig {
+        MemHierarchyConfig {
             caches: vec![t.l1, t.l2, t.l3],
             hit_ns: t.hit_ns_one_core.iter().map(|h| h / active).collect(),
             tlb: Some(TlbConfig {
@@ -139,7 +139,7 @@ impl CpuBackend {
             dram_extra_latency_ns: t.dram_extra_latency_ns,
             write_policy: WritePolicy::Streaming,
             wc_flush_bytes: 2048,
-        })
+        }
     }
 }
 
@@ -176,11 +176,10 @@ impl DeviceBackend for CpuBackend {
 
     fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
         let key = crate::common::cost_key("cpu", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(key, || {
+        crate::common::memoized_kernel_cost(&key, || {
             let cfg = &plan.cfg;
-            let mut h = self.hierarchy_for(cfg);
             let out = run_plan(
-                &mut h,
+                self.hierarchy_config(cfg),
                 plan,
                 artifact.lane_group,
                 None,

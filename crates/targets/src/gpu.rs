@@ -14,8 +14,7 @@
 use crate::common::run_plan;
 use kernelgen::{ExecPlan, KernelConfig, LoopMode};
 use memsim::{
-    CacheConfig, Coalescer, DramConfig, Link, LinkConfig, MemHierarchy, MemHierarchyConfig,
-    WritePolicy,
+    CacheConfig, Coalescer, DramConfig, Link, LinkConfig, MemHierarchyConfig, WritePolicy,
 };
 use mpcl::{BuildArtifact, ClError, DeviceBackend, DeviceInfo, DeviceType, KernelCost, PowerModel};
 
@@ -116,7 +115,7 @@ impl GpuBackend {
         ((self.tuning.mlp_full as f64 * wg_factor / (1.0 + footprint)) as usize).max(4)
     }
 
-    fn hierarchy_for(&self, cfg: &KernelConfig) -> MemHierarchy {
+    fn hierarchy_config(&self, cfg: &KernelConfig) -> MemHierarchyConfig {
         let t = &self.tuning;
         let ndrange = cfg.loop_mode == LoopMode::NdRange;
         MemHierarchyConfig {
@@ -151,17 +150,8 @@ impl GpuBackend {
             write_policy: WritePolicy::WriteAllocate,
             wc_flush_bytes: 512,
         }
-        .pipe(MemHierarchy::new)
     }
 }
-
-/// Small piping helper to keep construction readable.
-trait Pipe: Sized {
-    fn pipe<R>(self, f: impl FnOnce(Self) -> R) -> R {
-        f(self)
-    }
-}
-impl<T> Pipe for T {}
 
 impl Default for GpuBackend {
     fn default() -> Self {
@@ -199,13 +189,12 @@ impl DeviceBackend for GpuBackend {
 
     fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
         let key = crate::common::cost_key("gpu", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(key, || {
+        crate::common::memoized_kernel_cost(&key, || {
             let ndrange = plan.cfg.loop_mode == LoopMode::NdRange;
-            let mut h = self.hierarchy_for(&plan.cfg);
             let co = ndrange
                 .then(|| Coalescer::new(self.tuning.segment_bytes, self.tuning.warp as usize));
             let out = run_plan(
-                &mut h,
+                self.hierarchy_config(&plan.cfg),
                 plan,
                 artifact.lane_group,
                 co,

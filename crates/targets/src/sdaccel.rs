@@ -15,9 +15,7 @@
 use crate::common::run_plan;
 use crate::resources::{FpgaCapacity, ResourceModel};
 use kernelgen::{ExecPlan, KernelConfig, LoopMode, VendorOpts, XilinxOpts};
-use memsim::{
-    Coalescer, DramConfig, Link, LinkConfig, MemHierarchy, MemHierarchyConfig, WritePolicy,
-};
+use memsim::{Coalescer, DramConfig, Link, LinkConfig, MemHierarchyConfig, WritePolicy};
 use mpcl::{BuildArtifact, ClError, DeviceBackend, DeviceInfo, DeviceType, KernelCost, PowerModel};
 
 /// Tuning constants of the SDAccel model.
@@ -140,7 +138,7 @@ impl SdaccelBackend {
         }
         .min(t.max_burst_bytes);
 
-        let mut h = MemHierarchy::new(MemHierarchyConfig {
+        let hierarchy = MemHierarchyConfig {
             caches: vec![],
             hit_ns: vec![],
             tlb: None,
@@ -152,9 +150,9 @@ impl SdaccelBackend {
             dram_extra_latency_ns: t.dram_extra_latency_ns,
             write_policy: WritePolicy::WriteAllocate, // no caches: unused
             wc_flush_bytes: 512,
-        });
+        };
         let co = Coalescer::extent(burst_cap, artifact.lane_group as usize);
-        let out = run_plan(&mut h, plan, artifact.lane_group, Some(co), t.sample_cap);
+        let out = run_plan(hierarchy, plan, artifact.lane_group, Some(co), t.sample_cap);
 
         // The hierarchy paces bursts; the port's initiation interval is
         // per kernel-side access (one AXI beat per access).
@@ -240,7 +238,7 @@ impl DeviceBackend for SdaccelBackend {
 
     fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
         let key = crate::common::cost_key("sdaccel", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(key, || self.kernel_cost_uncached(artifact, plan))
+        crate::common::memoized_kernel_cost(&key, || self.kernel_cost_uncached(artifact, plan))
     }
 
     fn transfer_ns(&mut self, bytes: u64) -> f64 {

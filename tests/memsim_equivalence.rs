@@ -145,6 +145,78 @@ fn hpcc_and_channeled_points_are_bit_identical_on_both_paths() {
     assert_paths_match(TargetId::FpgaAocl, &req, cfg, "aocl depth-0 fusion");
 }
 
+/// Pairs of configurations whose hierarchies see the same stream under
+/// different kernel-cost keys. Run back to back on the fast path, the
+/// second of each pair is answered by `run_plan`'s stream memo and only
+/// the closed-form steps after it are recomputed; both runs must still
+/// match the slow path bit for bit.
+#[test]
+fn stream_memo_hits_are_bit_identical_on_both_paths() {
+    let _guard = LOCK.lock().unwrap();
+    let mut rng = SplitMix64::new(0x5743_2026);
+    let mut pairs: Vec<(TargetId, KernelConfig, KernelConfig)> = Vec::new();
+    let irregular = [
+        (StreamOp::Copy, AccessPattern::ColMajor { cols: None }),
+        (StreamOp::Triad, AccessPattern::Strided { stride: 16 }),
+        (StreamOp::RandomAccess, AccessPattern::Contiguous),
+    ];
+    for target in [TargetId::Cpu, TargetId::Gpu] {
+        for (op, pattern) in irregular {
+            let mut u1 = KernelConfig::baseline(op, (64u64 << 10) / 4);
+            if op.is_stream() {
+                u1.vector_width = VectorWidth::new(pick(&mut rng, &[1, 4])).unwrap();
+            }
+            u1.pattern = pattern;
+            let u2 = KernelConfig {
+                unroll: 2,
+                ..u1.clone()
+            };
+            pairs.push((target, u1, u2));
+        }
+    }
+    let copy = KernelConfig::baseline(StreamOp::Copy, (64u64 << 10) / 4);
+    pairs.push((
+        TargetId::Cpu,
+        copy.clone(),
+        KernelConfig {
+            op: StreamOp::Scale,
+            ..copy.clone()
+        },
+    ));
+    let flat = KernelConfig {
+        loop_mode: LoopMode::SingleWorkItemFlat,
+        vector_width: VectorWidth::new(pick(&mut rng, &[1, 4, 16])).unwrap(),
+        ..copy.clone()
+    };
+    let nested = KernelConfig {
+        loop_mode: LoopMode::SingleWorkItemNested,
+        ..flat.clone()
+    };
+    pairs.push((TargetId::FpgaAocl, flat, nested));
+    let channeled = |depth| KernelConfig {
+        op: StreamOp::Triad,
+        channel: Some(ChannelSpec { depth }),
+        ..copy.clone()
+    };
+    pairs.push((TargetId::FpgaSdaccel, channeled(4), channeled(16)));
+
+    for (i, (target, first, second)) in pairs.into_iter().enumerate() {
+        let req = CliRequest {
+            target,
+            ntimes: pick(&mut rng, &[1, 2]),
+            no_validate: rng.gen_index(2) == 0,
+            ..CliRequest::default()
+        };
+        for (which, cfg) in [("first", first), ("second", second)] {
+            let ctx = format!(
+                "pair {i} {which}: {target:?} {:?} {:?}",
+                cfg.op, cfg.pattern
+            );
+            assert_paths_match(target, &req, cfg, &ctx);
+        }
+    }
+}
+
 /// A small but representative sweep request: two targets' worth of
 /// engine work would double runtime, so use the FPGA whose fused
 /// burst path is the newest code, with several widths and both
