@@ -37,10 +37,9 @@ use crate::config::BenchConfig;
 use crate::engine::{Engine, Outcome, RetryStats};
 use crate::report::{config_label, pareto_table, ParetoRow, Table};
 use crate::rng::SplitMix64;
-use crate::runner::{Measurement, Runner};
+use crate::runner::Measurement;
 use crate::space::ParamSpace;
-use crate::sweep::{pareto_front_of_points, ParetoPoint};
-use crate::trace;
+use crate::sweep::{pareto_front_of_points, run_checkpointed, ParetoPoint};
 use kernelgen::KernelConfig;
 use mpcl::{CacheStats, ClError, FaultCounters};
 use std::collections::HashMap;
@@ -302,53 +301,10 @@ pub fn search_target(
     let faults0 = engine.fault_counters();
 
     let (trace, resumed, cancelled) = drive(strategy, budget, |batch| {
-        let work: Vec<BenchConfig> = batch.iter().cloned().map(&protocol).collect();
-
-        // Answer checkpointed points without executing them, keeping
-        // the batch order for the slots that do run.
-        let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(work.len());
-        let mut pending: Vec<BenchConfig> = Vec::new();
-        let mut pending_slots: Vec<usize> = Vec::new();
-        for (i, bc) in work.iter().enumerate() {
-            match checkpoint.and_then(|c| c.lookup(&bc.kernel)) {
-                Some(done) => slots.push(Some(done)),
-                None => {
-                    slots.push(None);
-                    pending.push(bc.clone());
-                    pending_slots.push(i);
-                }
-            }
-        }
-        let resumed = work.len() - pending.len();
-
-        let executed = engine.run_list_observed(
-            || Runner::for_target(target),
-            &pending,
-            |outcome| {
-                let Some(ckpt) = checkpoint else { return };
-                let ok = match ckpt.record(outcome) {
-                    Ok(()) => true,
-                    Err(e) => {
-                        eprintln!(
-                            "warning: checkpoint write to {} failed: {e}",
-                            ckpt.path().display()
-                        );
-                        false
-                    }
-                };
-                // Checkpoint writes happen in completion order, a
-                // wall-clock fact — record them in the wall lane so the
-                // canonical (virtual) trace stays jobs-invariant.
-                if let Some(t) = engine.trace() {
-                    t.wall_instant(0, "checkpoint-write", trace::args([("ok", ok.into())]));
-                }
-            },
-        );
-        for (slot, outcome) in pending_slots.into_iter().zip(executed) {
-            slots[slot] = Some(outcome);
-        }
+        let work = batch.iter().cloned().map(&protocol).collect();
+        let (outcomes, resumed) = run_checkpointed(engine, target, work, checkpoint);
         BatchOutcome {
-            outcomes: slots.into_iter().map(|s| s.expect("slot filled")).collect(),
+            outcomes,
             resumed,
             cancelled: engine
                 .cancel_token()
@@ -356,19 +312,13 @@ pub fn search_target(
         }
     });
 
-    let f1 = engine.fault_counters();
     let mut r = DseResult::from_trace(trace);
     r.resumed = resumed;
     r.cancelled = cancelled;
     r.strategy = strategy.name().to_string();
     r.cache = engine.cache_stats().since(cache0);
     r.retry = engine.retry_stats().since(retry0);
-    r.faults = FaultCounters {
-        build: f1.build - faults0.build,
-        timeout: f1.timeout - faults0.timeout,
-        device_lost: f1.device_lost - faults0.device_lost,
-        bit_flip: f1.bit_flip - faults0.bit_flip,
-    };
+    r.faults = engine.fault_counters().since(faults0);
     r
 }
 
@@ -1288,6 +1238,7 @@ impl SurrogateCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Runner;
     use kernelgen::LoopMode;
 
     fn space() -> ParamSpace {

@@ -693,18 +693,6 @@ impl Engine {
         }
         slots
     }
-
-    /// Execute every valid configuration of a `ParamSpace`-like config
-    /// list under one measurement protocol.
-    pub fn run_configs(
-        &self,
-        target: targets::TargetId,
-        configs: Vec<KernelConfig>,
-        protocol: impl Fn(KernelConfig) -> BenchConfig,
-    ) -> Vec<Outcome> {
-        let work: Vec<BenchConfig> = configs.into_iter().map(protocol).collect();
-        self.run_list(target, &work)
-    }
 }
 
 /// Render a panic payload (usually a `&str` or `String`) for

@@ -1,12 +1,13 @@
 //! Shared parsing for the `MPSTREAM_*` environment knobs.
 //!
 //! Several layers read the same environment conventions — the engine's
-//! worker-count default, the CLI and figure harness's canonical-trace
-//! switch, the bench harness's sample count — and each used to carry
-//! its own copy of the trim/parse/validate/warn dance. This module is
-//! the single parsing path, so an invalid value warns identically (and
-//! exactly once per variable per process) no matter which layer reads
-//! it first, and a typo can never silently change behaviour.
+//! worker-count, fault-seed and retry defaults, the canonical-trace
+//! switch the CLI, the figure harness and cluster workers read, the
+//! daemon's API key — and each used to carry its own copy of the
+//! trim/parse/validate/warn dance. This module is the single parsing
+//! path, so an invalid value warns identically (and exactly once per
+//! variable per process) no matter which layer reads it first, and a
+//! typo can never silently change behaviour.
 
 use std::collections::BTreeSet;
 use std::str::FromStr;

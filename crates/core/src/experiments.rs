@@ -235,9 +235,16 @@ impl RunOpts {
         }
     }
 
+    /// Quick mode keeps every third element and the last, so a thinned
+    /// sweep still reaches the largest size its shape checks look at.
     fn thin<T: Copy>(&self, xs: Vec<T>) -> Vec<T> {
         if self.quick {
-            xs.into_iter().step_by(3).collect()
+            let last = xs.len().saturating_sub(1);
+            xs.into_iter()
+                .enumerate()
+                .filter(|&(i, _)| i % 3 == 0 || i == last)
+                .map(|(_, x)| x)
+                .collect()
         } else {
             xs
         }

@@ -156,8 +156,9 @@ pub fn sweep_space(
     protocol: impl Fn(KernelConfig) -> BenchConfig,
 ) -> SweepResult {
     let (cache0, retry0, faults0) = snapshots(engine);
-    let points = engine.run_configs(target, space.configs(), protocol);
-    finish(engine, points, cache0, retry0, faults0, 0)
+    let work = space.configs().into_iter().map(protocol).collect();
+    let (points, resumed) = run_checkpointed(engine, target, work, None);
+    finish(engine, points, cache0, retry0, faults0, resumed)
 }
 
 /// Like [`sweep_space`], but recording every completed point to
@@ -173,35 +174,50 @@ pub fn sweep_space_checkpointed(
     checkpoint: &Checkpoint,
 ) -> SweepResult {
     let (cache0, retry0, faults0) = snapshots(engine);
-    let all: Vec<BenchConfig> = space.configs().into_iter().map(protocol).collect();
+    let work = space.configs().into_iter().map(protocol).collect();
+    let (points, resumed) = run_checkpointed(engine, target, work, Some(checkpoint));
+    finish(engine, points, cache0, retry0, faults0, resumed)
+}
 
+/// Execute `work` on `target` across the engine's thread pool, returning
+/// outcomes in `work` order and how many of them `checkpoint` answered.
+/// Points the checkpoint already holds are not executed; every executed
+/// point is recorded to it as its worker finishes. The sweep and the
+/// DSE batch loop share this evaluator.
+pub(crate) fn run_checkpointed(
+    engine: &Engine,
+    target: targets::TargetId,
+    work: Vec<BenchConfig>,
+    checkpoint: Option<&Checkpoint>,
+) -> (Vec<Outcome>, usize) {
     // Split into already-checkpointed and still-to-run, remembering
     // where each pending config sits in the full ordering.
-    let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(all.len());
+    let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(work.len());
     let mut pending: Vec<BenchConfig> = Vec::new();
     let mut pending_slots: Vec<usize> = Vec::new();
-    for (i, bc) in all.iter().enumerate() {
-        match checkpoint.lookup(&bc.kernel) {
+    for (i, bc) in work.into_iter().enumerate() {
+        match checkpoint.and_then(|c| c.lookup(&bc.kernel)) {
             Some(done) => slots.push(Some(done)),
             None => {
                 slots.push(None);
-                pending.push(bc.clone());
+                pending.push(bc);
                 pending_slots.push(i);
             }
         }
     }
-    let resumed = all.len() - pending.len();
+    let resumed = slots.len() - pending.len();
 
     let executed = engine.run_list_observed(
         || Runner::for_target(target),
         &pending,
         |outcome| {
-            let ok = match checkpoint.record(outcome) {
+            let Some(ckpt) = checkpoint else { return };
+            let ok = match ckpt.record(outcome) {
                 Ok(()) => true,
                 Err(e) => {
                     eprintln!(
                         "warning: checkpoint write to {} failed: {e}",
-                        checkpoint.path().display()
+                        ckpt.path().display()
                     );
                     false
                 }
@@ -221,7 +237,7 @@ pub fn sweep_space_checkpointed(
         .into_iter()
         .map(|s| s.expect("every slot filled"))
         .collect();
-    finish(engine, points, cache0, retry0, faults0, resumed)
+    (points, resumed)
 }
 
 fn snapshots(engine: &Engine) -> (CacheStats, RetryStats, FaultCounters) {
@@ -240,17 +256,11 @@ fn finish(
     faults0: FaultCounters,
     resumed: usize,
 ) -> SweepResult {
-    let f1 = engine.fault_counters();
     SweepResult {
         points,
         cache: engine.cache_stats().since(cache0),
         retry: engine.retry_stats().since(retry0),
-        faults: FaultCounters {
-            build: f1.build - faults0.build,
-            timeout: f1.timeout - faults0.timeout,
-            device_lost: f1.device_lost - faults0.device_lost,
-            bit_flip: f1.bit_flip - faults0.bit_flip,
-        },
+        faults: engine.fault_counters().since(faults0),
         resumed,
     }
 }

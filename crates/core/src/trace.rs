@@ -30,6 +30,7 @@
 //! thread-local context and flush into the shared [`Trace`] once per
 //! task, keeping the hot path off the global mutex.
 
+use crate::json::escape;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -287,24 +288,6 @@ fn render_event(e: &TraceEvent) -> String {
         out.push('}');
     }
     out.push('}');
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

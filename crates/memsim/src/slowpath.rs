@@ -1,19 +1,18 @@
 //! The `MPSTREAM_SIM_SLOW` oracle switch.
 //!
 //! The target layer's stream pipelines, the hierarchy engine and the
-//! target layer's two simulation memos all ship a fast path whose
-//! contract is *byte-identical output* to the original per-request
-//! implementation. Setting `MPSTREAM_SIM_SLOW=1` routes every simulation
-//! through the original code and disables both memos, turning the slow
-//! path into a reference oracle the equivalence suite (and any
-//! suspicious user) can diff the fast path against.
+//! target layer's simulation memo all ship a fast path whose contract is
+//! *byte-identical output* to the original per-request implementation.
+//! Setting `MPSTREAM_SIM_SLOW=1` routes every simulation through the
+//! original code and bypasses the memo, turning the slow path into a
+//! reference oracle the equivalence suite (and any suspicious user) can
+//! diff the fast path against.
 //!
-//! This crate never reads the switch itself: `targets::common::run_plan`
-//! reads it once per simulation and picks the pipeline, the engine
+//! The switch has one reader: `targets::common::run_plan` reads it once
+//! per simulation and picks the pipeline, the engine
 //! ([`MemHierarchy::run`](crate::MemHierarchy::run) or
 //! [`MemHierarchy::run_reference`](crate::MemHierarchy::run_reference))
-//! and the stream memo together; the per-plan kernel-cost memo reads it
-//! to bypass itself.
+//! and whether the memo answers, together. This crate never reads it.
 //!
 //! The environment is read once; tests can override the mode at runtime
 //! with [`force`] to compare both paths inside one process.

@@ -144,6 +144,17 @@ impl FaultCounters {
     pub fn total(&self) -> u64 {
         self.build + self.timeout + self.device_lost + self.bit_flip
     }
+
+    /// Counter difference since an earlier snapshot (for per-sweep
+    /// reporting on a long-lived plan).
+    pub fn since(&self, earlier: FaultCounters) -> FaultCounters {
+        FaultCounters {
+            build: self.build.saturating_sub(earlier.build),
+            timeout: self.timeout.saturating_sub(earlier.timeout),
+            device_lost: self.device_lost.saturating_sub(earlier.device_lost),
+            bit_flip: self.bit_flip.saturating_sub(earlier.bit_flip),
+        }
+    }
 }
 
 /// A seeded fault-injection plan shared by contexts, builds and queues.

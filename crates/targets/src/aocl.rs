@@ -167,10 +167,50 @@ impl AoclBackend {
             _ => (1, 1),
         }
     }
+}
 
-    /// The actual cost model; `DeviceBackend::kernel_cost` wraps it in
-    /// the per-(config, target) memo.
-    fn kernel_cost_uncached(&self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
+impl Default for AoclBackend {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DeviceBackend for AoclBackend {
+    fn info(&self) -> DeviceInfo {
+        DeviceInfo {
+            name: "Nallatech PCIe-385N (Stratix V GS D5), AOCL 15.1".into(),
+            vendor: "Altera Corporation".into(),
+            device_type: DeviceType::Accelerator,
+            global_mem_bytes: 8 << 30,
+            peak_gbps: self.tuning.dram.peak_gbps(),
+            max_compute_units: 16,
+            max_work_group_size: 2048,
+        }
+    }
+
+    fn build(&mut self, cfg: &KernelConfig) -> Result<BuildArtifact, ClError> {
+        let t = &self.tuning;
+        let usage = t.resources.estimate(cfg);
+        let util = t.resources.utilisation(cfg, t.capacity);
+        let report = t.resources.report(cfg, t.capacity);
+        if util > 1.0 {
+            return Err(ClError::BuildProgramFailure(format!(
+                "aoc: design does not fit Stratix V GS D5 (utilisation {:.0}%)\n{report}",
+                util * 100.0
+            )));
+        }
+        let fmax = t.base_fmax_mhz * (1.0 - t.fmax_util_slope * util);
+        Ok(BuildArtifact {
+            build_log: format!("aoc: build ok, fmax {fmax:.0} MHz\n{report}"),
+            fmax_mhz: Some(fmax),
+            resources: Some(usage),
+            lane_group: t.lsu_burst_elems,
+            // Full place-and-route: hours, growing with congestion.
+            synthesis_ns: (1.0 + util) * 3.6e12,
+        })
+    }
+
+    fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
         let t = &self.tuning;
         let cfg = &plan.cfg;
         let fmax = artifact.fmax_mhz.expect("aocl kernels always report fmax");
@@ -233,53 +273,6 @@ impl AoclBackend {
             stats: out.stats,
             stall_ns,
         }
-    }
-}
-
-impl Default for AoclBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeviceBackend for AoclBackend {
-    fn info(&self) -> DeviceInfo {
-        DeviceInfo {
-            name: "Nallatech PCIe-385N (Stratix V GS D5), AOCL 15.1".into(),
-            vendor: "Altera Corporation".into(),
-            device_type: DeviceType::Accelerator,
-            global_mem_bytes: 8 << 30,
-            peak_gbps: self.tuning.dram.peak_gbps(),
-            max_compute_units: 16,
-            max_work_group_size: 2048,
-        }
-    }
-
-    fn build(&mut self, cfg: &KernelConfig) -> Result<BuildArtifact, ClError> {
-        let t = &self.tuning;
-        let usage = t.resources.estimate(cfg);
-        let util = t.resources.utilisation(cfg, t.capacity);
-        let report = t.resources.report(cfg, t.capacity);
-        if util > 1.0 {
-            return Err(ClError::BuildProgramFailure(format!(
-                "aoc: design does not fit Stratix V GS D5 (utilisation {:.0}%)\n{report}",
-                util * 100.0
-            )));
-        }
-        let fmax = t.base_fmax_mhz * (1.0 - t.fmax_util_slope * util);
-        Ok(BuildArtifact {
-            build_log: format!("aoc: build ok, fmax {fmax:.0} MHz\n{report}"),
-            fmax_mhz: Some(fmax),
-            resources: Some(usage),
-            lane_group: t.lsu_burst_elems,
-            // Full place-and-route: hours, growing with congestion.
-            synthesis_ns: (1.0 + util) * 3.6e12,
-        })
-    }
-
-    fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
-        let key = crate::common::cost_key("aocl", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(&key, || self.kernel_cost_uncached(artifact, plan))
     }
 
     fn transfer_ns(&mut self, bytes: u64) -> f64 {

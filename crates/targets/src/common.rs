@@ -3,21 +3,21 @@
 use kernelgen::access::memaccess;
 use kernelgen::{access_stream, total_accesses, ExecPlan};
 use memsim::{Access, AccessKind, Coalescer, MemHierarchy, MemHierarchyConfig, StreamOutcome};
-use mpcl::backend::{BuildArtifact, KernelCost};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Mutex;
 
-/// Entries each simulation memo holds before wholesale eviction. A sweep
-/// touches one kernel-cost entry per distinct (device, config) pair — a
-/// few hundred for the paper's full space — and at most one stream entry
-/// per kernel-cost entry, so the cap only guards against unbounded
-/// growth in pathological DSE campaigns.
+/// Entries the stream memo holds before wholesale eviction. A sweep adds
+/// at most one entry per distinct (device, config) pair, and one for all
+/// the pairs that share a stream — a few hundred for the paper's full
+/// space — so the cap only guards against unbounded growth in
+/// pathological DSE campaigns.
 const MEMO_CAP: usize = 8192;
 
-/// 128-bit FNV-1a digest of a memo key. The memos keep this instead of
-/// the ~1 KB key string; for the at most [`MEMO_CAP`] live keys of one
-/// memo, the birthday bound on an accidental collision is below 2^-100.
+/// 128-bit FNV-1a digest of a memo key. The memo keeps this instead of
+/// the key string, which runs to hundreds of bytes; for its at most
+/// [`MEMO_CAP`] live keys, the birthday bound on an accidental collision
+/// is below 2^-100.
 fn digest(key: &str) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -25,18 +25,18 @@ fn digest(key: &str) -> u128 {
         .fold(OFFSET, |h, b| (h ^ u128::from(b)).wrapping_mul(PRIME))
 }
 
-/// A process-wide memo from the [`digest`] of a key to a computed value,
+/// A process-wide memo from the [`digest`] of a key to a stream outcome,
 /// cleared wholesale once it holds [`MEMO_CAP`] entries. The lock is not
 /// held while a value is computed, so workers simulate concurrently; two
 /// that miss on the same key both compute it, with identical results.
-struct Memo<V>(Mutex<HashMap<u128, V, BuildHasherDefault<DefaultHasher>>>);
+struct Memo(Mutex<HashMap<u128, StreamOutcome, BuildHasherDefault<DefaultHasher>>>);
 
-impl<V: Clone> Memo<V> {
+impl Memo {
     const fn new() -> Self {
         Memo(Mutex::new(HashMap::with_hasher(BuildHasherDefault::new())))
     }
 
-    fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> V) -> V {
+    fn get_or_compute(&self, key: &str, compute: impl FnOnce() -> StreamOutcome) -> StreamOutcome {
         let digest = digest(key);
         if let Some(hit) = self.0.lock().expect("memo lock").get(&digest) {
             return hit.clone();
@@ -51,51 +51,8 @@ impl<V: Clone> Memo<V> {
     }
 }
 
-/// First level: kernel costs per [`cost_key`].
-static COST_MEMO: Memo<KernelCost> = Memo::new();
-
-/// Second level: [`run_plan`] outcomes per [`stream_key`].
-static STREAM_MEMO: Memo<StreamOutcome> = Memo::new();
-
-/// Build the memo key for a kernel launch: everything
-/// [`memoized_kernel_cost`] callers may read while computing the cost.
-/// Tuning structs and `ExecPlan` format their `f64` fields with Rust's
-/// shortest-roundtrip `Debug`, so distinct values never collide.
-pub fn cost_key(
-    device: &str,
-    tuning: &impl std::fmt::Debug,
-    artifact: &BuildArtifact,
-    plan: &ExecPlan,
-) -> String {
-    format!(
-        "{device}|{tuning:?}|lane_group={}|fmax={:?}|{plan:?}",
-        artifact.lane_group, artifact.fmax_mhz
-    )
-}
-
-/// Memoize a kernel-cost computation per `(config, target)` key, the
-/// first of two memo levels.
-///
-/// Every backend's `kernel_cost` is a pure function of [`cost_key`]: it
-/// runs the plan through a *cold* hierarchy built from its tuning, then
-/// applies closed-form steps. Replaying a cached result is therefore
-/// byte-identical to recomputing it. This level absorbs the warm-up and
-/// timed launches of every point and configurations repeated across DSE
-/// rounds. It keeps a 128-bit digest of `key`, not the string.
-///
-/// A miss here reaches [`run_plan`], whose second level answers every
-/// plan whose hierarchy would see the same stream (all unroll factors on
-/// the CPU and GPU models, AOCL's flat and nested loops, COPY and
-/// SCALE), so such a miss recomputes only the closed-form steps.
-///
-/// Under `MPSTREAM_SIM_SLOW=1` both levels are bypassed, keeping the
-/// slow path a launch-for-launch oracle.
-pub fn memoized_kernel_cost(key: &str, compute: impl FnOnce() -> KernelCost) -> KernelCost {
-    if memsim::slowpath::slow() {
-        return compute();
-    }
-    COST_MEMO.get_or_compute(key, compute)
-}
+/// [`run_plan`] outcomes per [`stream_key`].
+static STREAM_MEMO: Memo = Memo::new();
 
 /// Fraction of a kernel's counted accesses the *producer* (`_load`)
 /// stage of a channeled two-stage variant issues. The producer streams
@@ -189,8 +146,10 @@ pub fn to_mem(a: memaccess::Access) -> Access {
 /// The outcome is memoized process-wide under a key made of everything
 /// the hierarchy sees: its configuration, the coalescer, the sample size,
 /// the nominal stream length and the initial state of the access or
-/// burst generator. Under `MPSTREAM_SIM_SLOW=1` the reference pipeline
-/// and engine run instead, unmemoized.
+/// burst generator. This one memo answers both a point's repeated
+/// launches and every plan whose hierarchy would see the same stream.
+/// Under `MPSTREAM_SIM_SLOW=1`, which is read here and nowhere else, the
+/// reference pipeline and engine run instead, unmemoized.
 pub fn run_plan(
     hierarchy: MemHierarchyConfig,
     plan: &ExecPlan,
@@ -206,6 +165,8 @@ pub fn run_plan(
         let stream = access_stream(plan, lane_group)
             .take(take as usize)
             .map(to_mem);
+        #[cfg(test)]
+        REFERENCE_RUNS.with(|n| n.set(n.get() + 1));
         let mut h = MemHierarchy::new(hierarchy);
         let out = match coalescer {
             Some(co) => h.run_reference(co.coalesce(stream)),
@@ -244,7 +205,7 @@ pub fn run_plan(
     }
 }
 
-/// The second-level memo key: the hierarchy's configuration, the
+/// The stream memo key: the hierarchy's configuration, the
 /// coalescer, the sample `take`, the nominal `total` and the initial
 /// state of the generator that feeds the hierarchy, all rendered with
 /// derived `Debug` (a field added to any of them joins the key).
@@ -270,6 +231,8 @@ fn stream_key(
 thread_local! {
     /// Fast-path hierarchy runs on this thread, counted for the memo tests.
     static SIMULATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Reference-engine runs on this thread, counted for the slow-mode test.
+    static REFERENCE_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Run `stream` through a cold hierarchy on the fast engine.
@@ -540,41 +503,6 @@ mod tests {
         assert!(ratio > 0.7 && ratio < 1.4, "ratio {ratio}");
     }
 
-    #[test]
-    fn memo_caches_per_key_and_slow_mode_bypasses() {
-        use memsim::MemStats;
-        let _guard = SLOW_MODE.lock().unwrap();
-        let was_slow = memsim::slowpath::slow();
-        memsim::slowpath::force(false);
-        let cost = KernelCost {
-            ns: 123.456,
-            dram_bytes: 789,
-            stats: MemStats::new(),
-            stall_ns: 0.0,
-        };
-        let key = "test-device|memo_caches_per_key".to_string();
-        let mut calls = 0u32;
-        let first = memoized_kernel_cost(&key, || {
-            calls += 1;
-            cost.clone()
-        });
-        let second = memoized_kernel_cost(&key, || {
-            calls += 1;
-            cost.clone()
-        });
-        assert_eq!(calls, 1, "second lookup must hit the memo");
-        assert_eq!(first, second);
-        assert_eq!(first.ns.to_bits(), cost.ns.to_bits());
-
-        memsim::slowpath::force(true);
-        memoized_kernel_cost(&key, || {
-            calls += 1;
-            cost.clone()
-        });
-        assert_eq!(calls, 2, "slow mode must recompute every launch");
-        memsim::slowpath::force(was_slow);
-    }
-
     /// Fast-path hierarchy runs `f` makes on this thread.
     fn simulations(f: impl FnOnce()) -> u64 {
         let before = SIMULATIONS.with(|n| n.get());
@@ -660,6 +588,36 @@ mod tests {
     }
 
     #[test]
+    fn slow_mode_runs_the_reference_engine_past_a_filled_memo() {
+        let _guard = SLOW_MODE.lock().unwrap();
+        let was_slow = memsim::slowpath::slow();
+        // The generic and the fused pipeline, each on its own buffers.
+        let pipelines = [
+            (Coalescer::new(128, 16), 0x510e_0000_0000),
+            (Coalescer::extent(512, 16), 0x510f_0000_0000),
+        ];
+        for (co, base) in pipelines {
+            let p = plan_at(KernelConfig::baseline(StreamOp::Copy, 1 << 10), base);
+            memsim::slowpath::force(false);
+            let fast = run_plan(hierarchy(), &p, 16, Some(co), u64::MAX);
+            let hits = simulations(|| {
+                run_plan(hierarchy(), &p, 16, Some(co), u64::MAX);
+            });
+            assert_eq!(hits, 0, "{co:?}: the fast path fills the memo");
+            memsim::slowpath::force(true);
+            let before = REFERENCE_RUNS.with(|n| n.get());
+            let slow = [(); 2].map(|()| run_plan(hierarchy(), &p, 16, Some(co), u64::MAX));
+            let reference_runs = REFERENCE_RUNS.with(|n| n.get()) - before;
+            memsim::slowpath::force(was_slow);
+            assert_eq!(reference_runs, 2, "{co:?}: slow mode must bypass the memo");
+            for out in slow {
+                assert_eq!(out.ns.to_bits(), fast.ns.to_bits(), "{co:?}");
+                assert_eq!(out.stats, fast.stats, "{co:?}");
+            }
+        }
+    }
+
+    #[test]
     fn row_counters_sum_to_dram_transactions_within_the_extrapolation_bound() {
         fn backend(target: usize, sample_cap: u64) -> Box<dyn DeviceBackend> {
             match target {
@@ -725,25 +683,6 @@ mod tests {
                 assert_eq!(rows, s.dram_transactions, "{ctx}: unsampled rows");
             }
         }
-    }
-
-    #[test]
-    fn cost_keys_separate_devices_and_plans() {
-        let art = BuildArtifact {
-            build_log: "a very long synthesis report that must not leak into keys".into(),
-            fmax_mhz: Some(290.0),
-            resources: None,
-            lane_group: 64,
-            synthesis_ns: 1.0,
-        };
-        let p1 = plan(1 << 12);
-        let p2 = plan(1 << 13);
-        let k1 = cost_key("aocl", &"t", &art, &p1);
-        let k2 = cost_key("aocl", &"t", &art, &p2);
-        let k3 = cost_key("hmc", &"t", &art, &p1);
-        assert_ne!(k1, k2, "different plans");
-        assert_ne!(k1, k3, "different devices");
-        assert!(!k1.contains("synthesis report"), "logs stay out of keys");
     }
 
     #[test]

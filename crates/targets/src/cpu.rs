@@ -175,32 +175,29 @@ impl DeviceBackend for CpuBackend {
     }
 
     fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
-        let key = crate::common::cost_key("cpu", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(&key, || {
-            let cfg = &plan.cfg;
-            let out = run_plan(
-                self.hierarchy_config(cfg),
-                plan,
-                artifact.lane_group,
-                None,
-                self.tuning.sample_cap,
-            );
-            // DGEMM-lite can be arithmetic-bound: 4 cores x 2.5 GHz x
-            // ~4 multiply-adds per cycle.
-            let base_ns = crate::common::dgemm_roofline_ns(cfg, out.ns, 40.0);
-            // Channeled variants run the load/store halves as concurrent
-            // pipeline stages (the CPU runtime maps the FIFO to a shared
-            // queue); fill is paced at the kernel's own element rate.
-            let per_elem_ns = base_ns / cfg.n_vectors().max(1) as f64;
-            let (ns, stall_ns) =
-                crate::common::channel_overlay(cfg, base_ns, per_elem_ns).unwrap_or((base_ns, 0.0));
-            KernelCost {
-                ns,
-                dram_bytes: out.stats.dram_bytes,
-                stats: out.stats,
-                stall_ns,
-            }
-        })
+        let cfg = &plan.cfg;
+        let out = run_plan(
+            self.hierarchy_config(cfg),
+            plan,
+            artifact.lane_group,
+            None,
+            self.tuning.sample_cap,
+        );
+        // DGEMM-lite can be arithmetic-bound: 4 cores x 2.5 GHz x
+        // ~4 multiply-adds per cycle.
+        let base_ns = crate::common::dgemm_roofline_ns(cfg, out.ns, 40.0);
+        // Channeled variants run the load/store halves as concurrent
+        // pipeline stages (the CPU runtime maps the FIFO to a shared
+        // queue); fill is paced at the kernel's own element rate.
+        let per_elem_ns = base_ns / cfg.n_vectors().max(1) as f64;
+        let (ns, stall_ns) =
+            crate::common::channel_overlay(cfg, base_ns, per_elem_ns).unwrap_or((base_ns, 0.0));
+        KernelCost {
+            ns,
+            dram_bytes: out.stats.dram_bytes,
+            stats: out.stats,
+            stall_ns,
+        }
     }
 
     fn transfer_ns(&mut self, bytes: u64) -> f64 {

@@ -188,40 +188,37 @@ impl DeviceBackend for GpuBackend {
     }
 
     fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
-        let key = crate::common::cost_key("gpu", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(&key, || {
-            let ndrange = plan.cfg.loop_mode == LoopMode::NdRange;
-            let co = ndrange
-                .then(|| Coalescer::new(self.tuning.segment_bytes, self.tuning.warp as usize));
-            let out = run_plan(
-                self.hierarchy_config(&plan.cfg),
-                plan,
-                artifact.lane_group,
-                co,
-                self.tuning.sample_cap,
-            );
-            let mut ns = out.ns;
-            if ndrange {
-                // Warp-instruction front-end cost (charged on the raw lane
-                // accesses, which the coalescer absorbed before the
-                // hierarchy could see them).
-                let lane_accesses = kernelgen::total_accesses(&plan.cfg) as f64;
-                ns += lane_accesses * self.tuning.warp_issue_ns / self.tuning.warp as f64;
-            }
-            let cfg = &plan.cfg;
-            // DGEMM-lite arithmetic roofline: ~2000 int multiply-adds
-            // per ns across the SMX array.
-            let base_ns = crate::common::dgemm_roofline_ns(cfg, ns, 2000.0);
-            let per_elem_ns = base_ns / cfg.n_vectors().max(1) as f64;
-            let (ns, stall_ns) =
-                crate::common::channel_overlay(cfg, base_ns, per_elem_ns).unwrap_or((base_ns, 0.0));
-            KernelCost {
-                ns,
-                dram_bytes: out.stats.dram_bytes,
-                stats: out.stats,
-                stall_ns,
-            }
-        })
+        let ndrange = plan.cfg.loop_mode == LoopMode::NdRange;
+        let co =
+            ndrange.then(|| Coalescer::new(self.tuning.segment_bytes, self.tuning.warp as usize));
+        let out = run_plan(
+            self.hierarchy_config(&plan.cfg),
+            plan,
+            artifact.lane_group,
+            co,
+            self.tuning.sample_cap,
+        );
+        let mut ns = out.ns;
+        if ndrange {
+            // Warp-instruction front-end cost (charged on the raw lane
+            // accesses, which the coalescer absorbed before the
+            // hierarchy could see them).
+            let lane_accesses = kernelgen::total_accesses(&plan.cfg) as f64;
+            ns += lane_accesses * self.tuning.warp_issue_ns / self.tuning.warp as f64;
+        }
+        let cfg = &plan.cfg;
+        // DGEMM-lite arithmetic roofline: ~2000 int multiply-adds
+        // per ns across the SMX array.
+        let base_ns = crate::common::dgemm_roofline_ns(cfg, ns, 2000.0);
+        let per_elem_ns = base_ns / cfg.n_vectors().max(1) as f64;
+        let (ns, stall_ns) =
+            crate::common::channel_overlay(cfg, base_ns, per_elem_ns).unwrap_or((base_ns, 0.0));
+        KernelCost {
+            ns,
+            dram_bytes: out.stats.dram_bytes,
+            stats: out.stats,
+            stall_ns,
+        }
     }
 
     fn transfer_ns(&mut self, bytes: u64) -> f64 {

@@ -111,10 +111,65 @@ impl SdaccelBackend {
         let x = Self::xilinx_opts(cfg);
         cfg.loop_mode == LoopMode::SingleWorkItemNested || x.pipeline_loop || x.max_memory_ports
     }
+}
 
-    /// The actual cost model; `DeviceBackend::kernel_cost` wraps it in
-    /// the per-(config, target) memo.
-    fn kernel_cost_uncached(&self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
+impl Default for SdaccelBackend {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DeviceBackend for SdaccelBackend {
+    fn info(&self) -> DeviceInfo {
+        DeviceInfo {
+            name: "Alpha-Data ADM-PCIE (Virtex-7 690T), SDAccel 2015.1".into(),
+            vendor: "Xilinx, Inc.".into(),
+            device_type: DeviceType::Accelerator,
+            global_mem_bytes: 16 << 30,
+            peak_gbps: self.tuning.dram.peak_gbps(),
+            max_compute_units: 8,
+            max_work_group_size: 1024,
+        }
+    }
+
+    fn build(&mut self, cfg: &KernelConfig) -> Result<BuildArtifact, ClError> {
+        let t = &self.tuning;
+        // OpenCL 2.0 pipes require a power-of-two depth; SDAccel has no
+        // AOCL-style depth-0 fusion, so 0 is rejected too.
+        if let Some(ch) = cfg.channel {
+            if !ch.depth.is_power_of_two() {
+                return Err(ClError::BuildProgramFailure(format!(
+                    "xocc: xcl_reqd_pipe_depth must be a power of two, got {}",
+                    ch.depth
+                )));
+            }
+        }
+        let usage = t.resources.estimate(cfg);
+        let util = t.resources.utilisation(cfg, t.capacity);
+        let report = t.resources.report(cfg, t.capacity);
+        if util > 1.0 {
+            return Err(ClError::BuildProgramFailure(format!(
+                "xocc: design does not fit Virtex-7 690T (utilisation {:.0}%)\n{report}",
+                util * 100.0
+            )));
+        }
+        let fmax = t.base_fmax_mhz * (1.0 - t.fmax_util_slope * util);
+        let lane_group = if Self::fully_pipelined(cfg) {
+            t.inferred_burst_elems
+        } else {
+            t.flat_burst_elems
+        };
+        Ok(BuildArtifact {
+            build_log: format!("xocc: build ok, fmax {fmax:.0} MHz\n{report}"),
+            fmax_mhz: Some(fmax),
+            resources: Some(usage),
+            lane_group,
+            // Full place-and-route: hours, growing with congestion.
+            synthesis_ns: (1.0 + util) * 3.6e12,
+        })
+    }
+
+    fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
         let t = &self.tuning;
         let cfg = &plan.cfg;
         let fmax = artifact
@@ -177,68 +232,6 @@ impl SdaccelBackend {
             stats: out.stats,
             stall_ns,
         }
-    }
-}
-
-impl Default for SdaccelBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DeviceBackend for SdaccelBackend {
-    fn info(&self) -> DeviceInfo {
-        DeviceInfo {
-            name: "Alpha-Data ADM-PCIE (Virtex-7 690T), SDAccel 2015.1".into(),
-            vendor: "Xilinx, Inc.".into(),
-            device_type: DeviceType::Accelerator,
-            global_mem_bytes: 16 << 30,
-            peak_gbps: self.tuning.dram.peak_gbps(),
-            max_compute_units: 8,
-            max_work_group_size: 1024,
-        }
-    }
-
-    fn build(&mut self, cfg: &KernelConfig) -> Result<BuildArtifact, ClError> {
-        let t = &self.tuning;
-        // OpenCL 2.0 pipes require a power-of-two depth; SDAccel has no
-        // AOCL-style depth-0 fusion, so 0 is rejected too.
-        if let Some(ch) = cfg.channel {
-            if !ch.depth.is_power_of_two() {
-                return Err(ClError::BuildProgramFailure(format!(
-                    "xocc: xcl_reqd_pipe_depth must be a power of two, got {}",
-                    ch.depth
-                )));
-            }
-        }
-        let usage = t.resources.estimate(cfg);
-        let util = t.resources.utilisation(cfg, t.capacity);
-        let report = t.resources.report(cfg, t.capacity);
-        if util > 1.0 {
-            return Err(ClError::BuildProgramFailure(format!(
-                "xocc: design does not fit Virtex-7 690T (utilisation {:.0}%)\n{report}",
-                util * 100.0
-            )));
-        }
-        let fmax = t.base_fmax_mhz * (1.0 - t.fmax_util_slope * util);
-        let lane_group = if Self::fully_pipelined(cfg) {
-            t.inferred_burst_elems
-        } else {
-            t.flat_burst_elems
-        };
-        Ok(BuildArtifact {
-            build_log: format!("xocc: build ok, fmax {fmax:.0} MHz\n{report}"),
-            fmax_mhz: Some(fmax),
-            resources: Some(usage),
-            lane_group,
-            // Full place-and-route: hours, growing with congestion.
-            synthesis_ns: (1.0 + util) * 3.6e12,
-        })
-    }
-
-    fn kernel_cost(&mut self, artifact: &BuildArtifact, plan: &ExecPlan) -> KernelCost {
-        let key = crate::common::cost_key("sdaccel", &self.tuning, artifact, plan);
-        crate::common::memoized_kernel_cost(&key, || self.kernel_cost_uncached(artifact, plan))
     }
 
     fn transfer_ns(&mut self, bytes: u64) -> f64 {

@@ -11,7 +11,8 @@ use mpstream_core::dse::{
     search_target, GeneticSearch, HillClimbSearch, ModelSearch, Strategy, SurrogateCheckpoint,
 };
 use mpstream_core::{
-    BenchConfig, CancelToken, Checkpoint, Engine, Outcome, ParamSpace, ResiliencePolicy,
+    sweep_space, BenchConfig, CancelToken, Checkpoint, Engine, Outcome, ParamSpace,
+    ResiliencePolicy,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,7 +66,7 @@ fn genetic_and_model_match_exhaustive_within_two_percent_on_a_tenth() {
 
     for target in [TargetId::FpgaAocl, TargetId::FpgaSdaccel] {
         let engine = Engine::with_jobs(4);
-        let exhaustive: Vec<Outcome> = engine.run_configs(target, space.configs(), protocol);
+        let exhaustive = sweep_space(&engine, target, &space, protocol).points;
         let optimum = best_gbps(&exhaustive);
         assert!(optimum.is_finite());
 
@@ -136,7 +137,7 @@ fn searches_stay_within_two_percent_on_a_mixed_stream_hpcc_space() {
 
     let engine = Engine::with_jobs(4);
     let target = TargetId::FpgaAocl;
-    let exhaustive: Vec<Outcome> = engine.run_configs(target, configs, protocol);
+    let exhaustive = sweep_space(&engine, target, &space, protocol).points;
     let optimum = best_gbps(&exhaustive);
     assert!(optimum.is_finite());
 
