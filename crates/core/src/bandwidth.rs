@@ -1,30 +1,11 @@
-//! Bandwidth units and labels.
+//! Bandwidth units and the figures' array sizes.
 //!
 //! The paper mixes units: Figures 1, 2 and 4b report GB/s, Figures 3 and
-//! 4a report KB/s (both decimal, 1 GB = 1e9 B, as STREAM does), and the
-//! array-size axis is labelled in (decimal) MB.
+//! 4a report KB/s (both decimal, 1 GB = 1e9 B, as STREAM does).
 
 /// Convert GB/s to KB/s (the unit of Figures 3 and 4a).
 pub fn gbps_to_kbps(gbps: f64) -> f64 {
     gbps * 1e6
-}
-
-/// Bytes for an array-size axis label in decimal MB.
-pub fn mb_to_bytes(mb: f64) -> u64 {
-    (mb * 1e6).round() as u64
-}
-
-/// Axis label for an array size in bytes, matching the paper's style
-/// (`0.001`, `0.01`, ..., `100` MB).
-pub fn mb_label(bytes: u64) -> String {
-    let mb = bytes as f64 / 1e6;
-    if mb >= 1.0 {
-        format!("{mb:.0}")
-    } else if mb >= 0.01 {
-        format!("{mb:.2}")
-    } else {
-        format!("{mb:.3}")
-    }
 }
 
 /// The array sizes (bytes per array) swept in Figures 1a: 1 KiB to
@@ -46,14 +27,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(gbps_to_kbps(2.5), 2.5e6);
-        assert_eq!(mb_to_bytes(4.0), 4_000_000);
-    }
-
-    #[test]
-    fn labels_match_paper_style() {
-        assert_eq!(mb_label(1024), "0.001");
-        assert_eq!(mb_label(4_000_000), "4");
-        assert_eq!(mb_label(65_536), "0.07");
     }
 
     #[test]

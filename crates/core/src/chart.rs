@@ -1,4 +1,4 @@
-//! Zero-dependency ASCII charts: line/scatter/bar series on linear,
+//! Zero-dependency ASCII charts: line/scatter series on linear,
 //! log2 or log10 axes, with labelled legends and deterministic
 //! fixed-width output.
 //!
@@ -62,8 +62,6 @@ pub enum Style {
     Line,
     /// Points only.
     Scatter,
-    /// A vertical bar from the x axis up to each point.
-    Bar,
 }
 
 /// Per-series marker letters, in legend order.
@@ -141,12 +139,6 @@ impl Chart {
         self
     }
 
-    /// Add a bar series.
-    pub fn bar(mut self, series: Series) -> Chart {
-        self.series.push((series, Style::Bar));
-        self
-    }
-
     /// The plottable (transformed) points of one series, in x order as
     /// given.
     fn transformed(&self, s: &Series) -> Vec<(f64, f64)> {
@@ -179,10 +171,6 @@ impl Chart {
             y0 = y0.min(y);
             y1 = y1.max(y);
         }
-        // Bars are anchored to the axis, so the axis must be in range.
-        if self.series.iter().any(|(_, st)| *st == Style::Bar) {
-            y0 = y0.min(0.0);
-        }
         if (x1 - x0).abs() < 1e-9 {
             x1 = x0 + 1.0;
         }
@@ -206,40 +194,24 @@ impl Chart {
         for (si, (s, style)) in self.series.iter().enumerate() {
             let m = MARKERS[si % MARKERS.len()];
             let pts = self.transformed(s);
-            match style {
-                Style::Scatter => {
-                    for &(x, y) in &pts {
-                        plot(&mut grid, col(x), row(y), m);
-                    }
-                }
-                Style::Bar => {
-                    let base = row(y0.max(0.0).min(y1));
-                    for &(x, y) in &pts {
-                        let (gx, gy) = (col(x), row(y));
-                        for fy in base.min(gy)..=base.max(gy) {
-                            plot(&mut grid, gx, fy, m);
+            for &(x, y) in &pts {
+                plot(&mut grid, col(x), row(y), m);
+            }
+            if *style == Style::Line {
+                for pair in pts.windows(2) {
+                    let ((xa, ya), (xb, yb)) = (pair[0], pair[1]);
+                    let (ca, cb) = (col(xa), col(xb));
+                    let (lo, hi) = (ca.min(cb), ca.max(cb));
+                    for gx in lo..=hi {
+                        if hi == lo {
+                            continue;
                         }
-                    }
-                }
-                Style::Line => {
-                    for &(x, y) in &pts {
-                        plot(&mut grid, col(x), row(y), m);
-                    }
-                    for pair in pts.windows(2) {
-                        let ((xa, ya), (xb, yb)) = (pair[0], pair[1]);
-                        let (ca, cb) = (col(xa), col(xb));
-                        let (lo, hi) = (ca.min(cb), ca.max(cb));
-                        for gx in lo..=hi {
-                            if hi == lo {
-                                continue;
-                            }
-                            let t = (gx - lo) as f64 / (hi - lo) as f64;
-                            // Interpolate in draw direction, whichever
-                            // way x runs.
-                            let (yl, yr) = if ca <= cb { (ya, yb) } else { (yb, ya) };
-                            let y = yl + (yr - yl) * t;
-                            plot(&mut grid, gx, row(y), m);
-                        }
+                        let t = (gx - lo) as f64 / (hi - lo) as f64;
+                        // Interpolate in draw direction, whichever way x
+                        // runs.
+                        let (yl, yr) = if ca <= cb { (ya, yb) } else { (yb, ya) };
+                        let y = yl + (yr - yl) * t;
+                        plot(&mut grid, gx, row(y), m);
                     }
                 }
             }
@@ -389,28 +361,6 @@ mod tests {
                 "column {col} empty:\n{rendered}"
             );
         }
-    }
-
-    #[test]
-    fn bars_reach_down_to_the_axis() {
-        let rendered = Chart::new("")
-            .size(8, 6)
-            .bar(series("s", &[(1.0, 6.0), (2.0, 3.0)]))
-            .render();
-        let rows: Vec<&str> = rendered.lines().filter(|l| l.starts_with("  |")).collect();
-        // The tallest bar fills its full column.
-        let tall_col = rows
-            .last()
-            .unwrap()
-            .chars()
-            .skip(3)
-            .position(|c| c == 'a')
-            .expect("bottom row has a bar");
-        assert!(
-            rows.iter()
-                .all(|r| r.chars().nth(3 + tall_col) == Some('a')),
-            "{rendered}"
-        );
     }
 
     #[test]

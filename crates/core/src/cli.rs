@@ -331,13 +331,6 @@ pub fn parse_args(args: &[String]) -> Result<Option<CliRequest>, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
-            "--list-devices" => {
-                req.show_kernel = false;
-                req.ops.clear();
-                // Marker handled by the binary via `ops.is_empty()` is
-                // too subtle; use an explicit sentinel instead.
-                return Ok(Some(CliRequest { ntimes: 0, ..req }));
-            }
             "--target" => {
                 let v = need(&mut it, "--target")?;
                 req.target =
@@ -419,6 +412,9 @@ pub fn parse_args(args: &[String]) -> Result<Option<CliRequest>, String> {
                 req.ntimes = need(&mut it, "--ntimes")?
                     .parse()
                     .map_err(|_| "invalid --ntimes".to_string())?;
+                if req.ntimes == 0 {
+                    return Err("--ntimes needs at least 1".to_string());
+                }
             }
             "--jobs" => {
                 let n: usize = need(&mut it, "--jobs")?
@@ -1105,6 +1101,20 @@ mod tests {
         assert_eq!(a, b, "--chart output must be jobs-invariant");
         assert!(a.contains("best GB/s by vector width"), "{a}");
         assert!(a.contains("x: 2^0.0 .. 2^2.0 (log2)"), "{a}");
+    }
+
+    #[test]
+    fn ntimes_zero_is_rejected_not_clamped_to_one() {
+        // A run always makes at least one timed launch, so a request for
+        // none would report repetitions it never ran.
+        assert_eq!(parse(&["--ntimes", "1"]).unwrap().unwrap().ntimes, 1);
+        for argv in [&["--ntimes", "0"][..], &["sweep", "--ntimes", "0"]] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains("--ntimes"), "{err}");
+        }
+        // The binary answers --list-devices before parsing; the parser
+        // has no sentinel request for it.
+        assert!(parse(&["--list-devices"]).is_err());
     }
 
     #[test]

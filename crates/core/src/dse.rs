@@ -25,12 +25,12 @@
 //! one-dimension mutation) and [`ModelSearch`] (a ridge-regression
 //! surrogate over the architecture-independent features of
 //! [`kernelgen::features()`], ranking unevaluated configurations and
-//! asking only the top-k each round). The [`Explorer`] enum remains as
-//! a set of thin seeded constructors for back-compat.
+//! asking only the top-k each round).
 //!
-//! Two evaluation harnesses: [`explore`] drives an arbitrary objective
-//! serially (unit-test friendly), [`search_target`] / [`explore_target`]
-//! drive a device target through the engine.
+//! Two evaluation harnesses: [`search_target`] drives a device target
+//! through the engine (what the CLI, the daemon and the cluster run),
+//! and [`explore`] drives an arbitrary objective serially on the calling
+//! thread (what the strategy unit tests use).
 
 use crate::checkpoint::Checkpoint;
 use crate::config::BenchConfig;
@@ -66,58 +66,6 @@ pub trait Strategy {
     fn ask(&mut self) -> Vec<KernelConfig>;
     /// Record the outcomes of (a prefix of) the last asked batch.
     fn tell(&mut self, outcomes: &[Outcome]);
-}
-
-/// Seeded constructors for the built-in strategies.
-///
-/// This enum predates the [`Strategy`] trait and is kept as a stable,
-/// copyable way to name a search; [`Explorer::strategy`] builds the
-/// trait object it stands for. New code should construct
-/// [`GeneticSearch`], [`ModelSearch`] etc. directly — the enum is not
-/// extended to the model-guided strategies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Explorer {
-    /// Evaluate every valid configuration.
-    Exhaustive,
-    /// Uniformly sample up to `budget` configurations (seeded).
-    RandomSearch { budget: usize, seed: u64 },
-    /// Steepest-ascent hill climbing from a random start with random
-    /// restarts: each round asks the whole unevaluated one-dimension
-    /// neighbourhood of the current point as one batch.
-    HillClimb { budget: usize, seed: u64 },
-    /// Simulated annealing: a random walk over single-dimension
-    /// neighbours that accepts worse moves with probability
-    /// `exp(-delta / T)`, `T` cooling geometrically from `t0` to ~0 over
-    /// the budget. Escapes the local optima greedy climbing gets stuck
-    /// in (e.g. a compute-unit ridge that blocks the path to wide
-    /// vectors).
-    Anneal { budget: usize, seed: u64, t0: f64 },
-}
-
-impl Explorer {
-    /// Build the [`Strategy`] this variant stands for, over `space`.
-    pub fn strategy(&self, space: &ParamSpace) -> Box<dyn Strategy> {
-        match *self {
-            Explorer::Exhaustive => Box::new(ExhaustiveSearch::new(space)),
-            Explorer::RandomSearch { budget, seed } => {
-                Box::new(RandomSearch::new(space, budget, seed))
-            }
-            Explorer::HillClimb { budget: _, seed } => Box::new(HillClimbSearch::new(space, seed)),
-            Explorer::Anneal { budget, seed, t0 } => {
-                Box::new(AnnealSearch::new(space, budget, seed, t0))
-            }
-        }
-    }
-
-    /// The evaluation budget the variant carries (0 = unbounded).
-    pub fn budget(&self) -> usize {
-        match *self {
-            Explorer::Exhaustive => 0,
-            Explorer::RandomSearch { budget, .. }
-            | Explorer::HillClimb { budget, .. }
-            | Explorer::Anneal { budget, .. } => budget,
-        }
-    }
 }
 
 /// The result of a search. `trace` holds every evaluated [`Outcome`] in
@@ -257,16 +205,16 @@ fn drive(
     (trace, resumed, false)
 }
 
-/// Run a search over `space`, scoring with `objective` on the calling
-/// thread. Higher [`Measurement::gbps`] is better.
+/// Run `strategy` over `space`, scoring with `objective` on the calling
+/// thread. Higher [`Measurement::gbps`] is better; `budget` caps the
+/// number of evaluated points (0 = unbounded).
 pub fn explore(
     space: &ParamSpace,
-    strategy: Explorer,
+    strategy: &mut dyn Strategy,
+    budget: usize,
     mut objective: impl FnMut(&KernelConfig) -> Result<Measurement, ClError>,
 ) -> DseResult {
-    let n = space.configs().len();
-    let mut strat = strategy.strategy(space);
-    let (trace, _, _) = drive(strat.as_mut(), strategy.budget(), |batch| BatchOutcome {
+    let (trace, _, _) = drive(strategy, budget, |batch| BatchOutcome {
         outcomes: batch
             .iter()
             .map(|c| Outcome::new(c.clone(), objective(c)))
@@ -275,8 +223,8 @@ pub fn explore(
         cancelled: false,
     });
     let mut r = DseResult::from_trace(trace);
-    r.space_size = n;
-    r.strategy = strat.name().to_string();
+    r.space_size = space.configs().len();
+    r.strategy = strategy.name().to_string();
     r
 }
 
@@ -319,30 +267,6 @@ pub fn search_target(
     r.cache = engine.cache_stats().since(cache0);
     r.retry = engine.retry_stats().since(retry0);
     r.faults = engine.fault_counters().since(faults0);
-    r
-}
-
-/// Run an [`Explorer`]-named search over `space` on a standard target
-/// through `engine` — the back-compat entry point, now a thin wrapper
-/// over [`search_target`], so the climbers batch through the thread
-/// pool and honour the engine's cancel token like everything else.
-pub fn explore_target(
-    engine: &Engine,
-    target: targets::TargetId,
-    space: &ParamSpace,
-    strategy: Explorer,
-    protocol: impl Fn(KernelConfig) -> BenchConfig,
-) -> DseResult {
-    let mut strat = strategy.strategy(space);
-    let mut r = search_target(
-        engine,
-        target,
-        strat.as_mut(),
-        strategy.budget(),
-        protocol,
-        None,
-    );
-    r.space_size = space.configs().len();
     r
 }
 
@@ -884,7 +808,6 @@ pub struct ModelSearch {
     seed_batch: usize,
     top_k: usize,
     seeded: bool,
-    warm: Option<RidgeModel>,
 }
 
 impl ModelSearch {
@@ -907,50 +830,6 @@ impl ModelSearch {
             seed_batch,
             top_k,
             seeded: false,
-            warm: None,
-        }
-    }
-
-    /// Warm start from a saved surrogate: the first ask ranks by the
-    /// loaded model's predictions instead of random sampling. The
-    /// checkpoint has already been dimension-checked at load time.
-    pub fn warm_start(mut self, ckpt: &SurrogateCheckpoint) -> Self {
-        self.warm = Some(ckpt.model());
-        self
-    }
-
-    /// Export the surrogate fitted on everything told so far, for a
-    /// later run to [`ModelSearch::warm_start`] from.
-    pub fn surrogate(&self) -> SurrogateCheckpoint {
-        let training: Vec<(usize, f64)> = (0..self.tracker.len())
-            .filter_map(|i| {
-                self.tracker.scores[i].map(|s| (i, s.filter(|g| g.is_finite()).unwrap_or(0.0)))
-            })
-            .collect();
-        let xs: Vec<&[f64]> = training
-            .iter()
-            .map(|&(i, _)| self.feats[i].as_slice())
-            .collect();
-        let ys: Vec<f64> = training.iter().map(|&(_, y)| y).collect();
-        let model = RidgeModel::fit(&xs, &ys, 0.1);
-        SurrogateCheckpoint {
-            feature_dim: kernelgen::FEATURE_DIM,
-            mean: if model.mean.len() == kernelgen::FEATURE_DIM {
-                model.mean
-            } else {
-                vec![0.0; kernelgen::FEATURE_DIM]
-            },
-            scale: if model.scale.len() == kernelgen::FEATURE_DIM {
-                model.scale
-            } else {
-                vec![1.0; kernelgen::FEATURE_DIM]
-            },
-            weights: if model.weights.len() == kernelgen::FEATURE_DIM {
-                model.weights
-            } else {
-                vec![0.0; kernelgen::FEATURE_DIM]
-            },
-            intercept: model.intercept,
         }
     }
 
@@ -983,18 +862,6 @@ impl Strategy for ModelSearch {
         }
         if !self.seeded {
             self.seeded = true;
-            // A warm-started search spends its seed batch where the
-            // loaded surrogate predicts bandwidth instead of at random.
-            if let Some(model) = &self.warm {
-                let preds: Vec<f64> = self.feats.iter().map(|f| model.predict(f)).collect();
-                let mut ranked: Vec<usize> = (0..self.tracker.len()).collect();
-                ranked.sort_by(|&a, &b| preds[b].total_cmp(&preds[a]).then(a.cmp(&b)));
-                ranked.truncate(self.seed_batch);
-                return ranked
-                    .iter()
-                    .map(|&i| self.tracker.configs[i].clone())
-                    .collect();
-            }
             let mut order: Vec<usize> = (0..self.tracker.len()).collect();
             self.rng.shuffle(&mut order);
             order.truncate(self.seed_batch);
@@ -1121,120 +988,6 @@ impl RidgeModel {
     }
 }
 
-/// A fitted ridge surrogate serialized for reuse across runs: one run's
-/// [`ModelSearch`] can export what it learned and a later run can warm
-/// start from it instead of random seeding. The file is a single flat
-/// JSON object versioned by the feature dimension it was fitted on —
-/// loading a checkpoint written by a build with a different
-/// [`kernelgen::FEATURE_DIM`] fails loudly instead of silently
-/// mis-indexing features (a 19-dim pre-workload-family checkpoint must
-/// not steer a 25-dim search).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurrogateCheckpoint {
-    /// Feature dimension the weights were fitted on.
-    pub feature_dim: usize,
-    /// Per-feature training means.
-    pub mean: Vec<f64>,
-    /// Per-feature training standard deviations.
-    pub scale: Vec<f64>,
-    /// Standardized-feature weights.
-    pub weights: Vec<f64>,
-    /// Centered-response intercept.
-    pub intercept: f64,
-}
-
-impl SurrogateCheckpoint {
-    /// Serialize as one flat JSON object. Vectors are comma-joined into
-    /// string fields — the repo's hand-rolled flat parser does not do
-    /// nested arrays, and `{v}` formatting round-trips f64 exactly.
-    pub fn to_json(&self) -> String {
-        let join = |v: &[f64]| {
-            v.iter()
-                .map(|x| format!("{x}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let mut w = crate::json::JsonLine::new();
-        w.u64_field("feature_dim", self.feature_dim as u64)
-            .str_field("mean", &join(&self.mean))
-            .str_field("scale", &join(&self.scale))
-            .str_field("weights", &join(&self.weights))
-            .raw_field("intercept", &format!("{}", self.intercept));
-        w.finish()
-    }
-
-    /// Parse and validate a serialized surrogate. Errors on malformed
-    /// input, on vectors that disagree with the recorded dimension, and
-    /// — loudly, naming both dimensions — on a checkpoint fitted against
-    /// a different [`kernelgen::FEATURE_DIM`] than this build extracts.
-    pub fn from_json(s: &str) -> Result<SurrogateCheckpoint, String> {
-        let obj = crate::json::parse_flat_object(s.trim())
-            .ok_or_else(|| "surrogate checkpoint: not a flat JSON object".to_string())?;
-        let dim = obj
-            .get("feature_dim")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| "surrogate checkpoint: missing feature_dim".to_string())?
-            as usize;
-        if dim != kernelgen::FEATURE_DIM {
-            return Err(format!(
-                "surrogate checkpoint was fitted on {dim}-dim kernel features but this \
-                 build extracts {} (FEATURE_DIM changed — e.g. the workload-family \
-                 dimensions); refit the model instead of reusing the checkpoint",
-                kernelgen::FEATURE_DIM
-            ));
-        }
-        let vec_field = |key: &str| -> Result<Vec<f64>, String> {
-            let raw = obj
-                .get(key)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("surrogate checkpoint: missing {key}"))?;
-            let parsed: Result<Vec<f64>, _> =
-                raw.split(',').map(|t| t.trim().parse::<f64>()).collect();
-            let v = parsed.map_err(|_| format!("surrogate checkpoint: bad {key} '{raw}'"))?;
-            if v.len() != dim {
-                return Err(format!(
-                    "surrogate checkpoint: {key} has {} entries, feature_dim says {dim}",
-                    v.len()
-                ));
-            }
-            Ok(v)
-        };
-        Ok(SurrogateCheckpoint {
-            feature_dim: dim,
-            mean: vec_field("mean")?,
-            scale: vec_field("scale")?,
-            weights: vec_field("weights")?,
-            intercept: obj
-                .get("intercept")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| "surrogate checkpoint: missing intercept".to_string())?,
-        })
-    }
-
-    /// Write the checkpoint to `path`.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json() + "\n")
-            .map_err(|e| format!("surrogate checkpoint {}: {e}", path.display()))
-    }
-
-    /// Read and validate a checkpoint from `path`.
-    pub fn load(path: &std::path::Path) -> Result<SurrogateCheckpoint, String> {
-        let s = std::fs::read_to_string(path)
-            .map_err(|e| format!("surrogate checkpoint {}: {e}", path.display()))?;
-        SurrogateCheckpoint::from_json(&s)
-    }
-
-    /// The ridge model these parameters describe.
-    fn model(&self) -> RidgeModel {
-        RidgeModel {
-            mean: self.mean.clone(),
-            scale: self.scale.clone(),
-            weights: self.weights.clone(),
-            intercept: self.intercept,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1265,7 +1018,7 @@ mod tests {
 
     #[test]
     fn exhaustive_finds_the_optimum() {
-        let r = explore(&space(), Explorer::Exhaustive, objective);
+        let r = explore(&space(), &mut ExhaustiveSearch::new(&space()), 0, objective);
         let best = r.best.clone().expect("has best");
         assert_eq!(best.config.vector_width.get(), 16);
         assert_eq!(best.config.loop_mode, LoopMode::SingleWorkItemFlat);
@@ -1279,22 +1032,11 @@ mod tests {
 
     #[test]
     fn random_search_respects_budget_and_seed() {
-        let r1 = explore(
-            &space(),
-            Explorer::RandomSearch {
-                budget: 10,
-                seed: 42,
-            },
-            objective,
-        );
-        let r2 = explore(
-            &space(),
-            Explorer::RandomSearch {
-                budget: 10,
-                seed: 42,
-            },
-            objective,
-        );
+        let run = || {
+            let mut random = RandomSearch::new(&space(), 10, 42);
+            explore(&space(), &mut random, 10, objective)
+        };
+        let (r1, r2) = (run(), run());
         assert_eq!(r1.trace.len(), 10);
         let s1: Vec<_> = r1.trace.iter().map(score).collect();
         let s2: Vec<_> = r2.trace.iter().map(score).collect();
@@ -1303,14 +1045,8 @@ mod tests {
 
     #[test]
     fn hill_climb_reaches_good_configs_with_small_budget() {
-        let r = explore(
-            &space(),
-            Explorer::HillClimb {
-                budget: 30,
-                seed: 7,
-            },
-            objective,
-        );
+        let mut climber = HillClimbSearch::new(&space(), 7);
+        let r = explore(&space(), &mut climber, 30, objective);
         let best = r.best.expect("has best");
         assert!(score(&best).unwrap() >= 20.0, "score {:?}", score(&best));
         assert!(r.trace.len() <= 30);
@@ -1318,15 +1054,8 @@ mod tests {
 
     #[test]
     fn annealing_reaches_good_configs() {
-        let r = explore(
-            &space(),
-            Explorer::Anneal {
-                budget: 40,
-                seed: 11,
-                t0: 8.0,
-            },
-            objective,
-        );
+        let mut anneal = AnnealSearch::new(&space(), 40, 11, 8.0);
+        let r = explore(&space(), &mut anneal, 40, objective);
         let best = r.best.expect("has best");
         assert!(score(&best).unwrap() >= 20.0, "score {:?}", score(&best));
         assert!(r.trace.len() <= 40);
@@ -1334,13 +1063,11 @@ mod tests {
 
     #[test]
     fn annealing_is_seeded_deterministic() {
-        let strat = Explorer::Anneal {
-            budget: 25,
-            seed: 3,
-            t0: 4.0,
+        let run = || {
+            let mut anneal = AnnealSearch::new(&space(), 25, 3, 4.0);
+            explore(&space(), &mut anneal, 25, objective)
         };
-        let a = explore(&space(), strat, objective);
-        let b = explore(&space(), strat, objective);
+        let (a, b) = (run(), run());
         let sa: Vec<_> = a.trace.iter().map(score).collect();
         let sb: Vec<_> = b.trace.iter().map(score).collect();
         assert_eq!(sa, sb);
@@ -1360,15 +1087,8 @@ mod tests {
             }
             Ok(Measurement::synthetic(s))
         };
-        let r = explore(
-            &space(),
-            Explorer::Anneal {
-                budget: 45,
-                seed: 5,
-                t0: 10.0,
-            },
-            deceptive,
-        );
+        let mut anneal = AnnealSearch::new(&space(), 45, 5, 10.0);
+        let r = explore(&space(), &mut anneal, 45, deceptive);
         // Global optimum: vec16 flat => 32+.
         assert!(score(&r.best.expect("best")).unwrap() >= 28.0);
     }
@@ -1376,16 +1096,8 @@ mod tests {
     #[test]
     fn genetic_is_seeded_deterministic_and_respects_budget() {
         let run = || {
-            let mut s = GeneticSearch::new(&space(), 15, 99);
-            let (trace, _, _) = drive(&mut s, 15, |batch| BatchOutcome {
-                outcomes: batch
-                    .iter()
-                    .map(|c| Outcome::new(c.clone(), objective(c)))
-                    .collect(),
-                resumed: 0,
-                cancelled: false,
-            });
-            trace
+            let mut genetic = GeneticSearch::new(&space(), 15, 99);
+            explore(&space(), &mut genetic, 15, objective).trace
         };
         let a = run();
         let b = run();
@@ -1408,15 +1120,8 @@ mod tests {
 
     #[test]
     fn model_search_learns_the_synthetic_optimum() {
-        let mut s = ModelSearch::new(&space(), 15, 7);
-        let (trace, _, _) = drive(&mut s, 15, |batch| BatchOutcome {
-            outcomes: batch
-                .iter()
-                .map(|c| Outcome::new(c.clone(), objective(c)))
-                .collect(),
-            resumed: 0,
-            cancelled: false,
-        });
+        let mut model = ModelSearch::new(&space(), 15, 7);
+        let trace = explore(&space(), &mut model, 15, objective).trace;
         assert!(trace.len() <= 15);
         let best = trace
             .iter()
@@ -1425,59 +1130,6 @@ mod tests {
         // Optimum is 36 (vec16 flat unroll4); the surrogate must get
         // within striking distance on a third of the space.
         assert!(best >= 30.0, "model best {best}");
-    }
-
-    #[test]
-    fn surrogate_checkpoint_round_trips_and_warm_starts() {
-        let mut s = ModelSearch::new(&space(), 15, 7);
-        let (_, _, _) = drive(&mut s, 15, |batch| BatchOutcome {
-            outcomes: batch
-                .iter()
-                .map(|c| Outcome::new(c.clone(), objective(c)))
-                .collect(),
-            resumed: 0,
-            cancelled: false,
-        });
-        let ckpt = s.surrogate();
-        assert_eq!(ckpt.feature_dim, kernelgen::FEATURE_DIM);
-        let back = SurrogateCheckpoint::from_json(&ckpt.to_json()).expect("round trip");
-        assert_eq!(back, ckpt);
-
-        // A warm-started search's first ask is model-ranked, not random
-        // — and deterministic regardless of the seed.
-        let ask1 = ModelSearch::new(&space(), 15, 1).warm_start(&ckpt).ask();
-        let ask2 = ModelSearch::new(&space(), 15, 2).warm_start(&ckpt).ask();
-        assert!(!ask1.is_empty());
-        assert_eq!(ask1, ask2, "warm start ignores the rng seed");
-    }
-
-    #[test]
-    fn stale_feature_dim_checkpoints_fail_loudly() {
-        // A checkpoint from before the workload-family feature growth:
-        // 19 dims. Loading it must be an error that names both sizes,
-        // not a silently mis-indexed model.
-        let join = |n: usize| {
-            (0..n)
-                .map(|_| "0".to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let old = format!(
-            "{{\"feature_dim\":19,\"mean\":\"{0}\",\"scale\":\"{0}\",\"weights\":\"{0}\",\"intercept\":1.5}}",
-            join(19)
-        );
-        let err = SurrogateCheckpoint::from_json(&old).unwrap_err();
-        assert!(err.contains("19-dim"), "{err}");
-        assert!(err.contains(&kernelgen::FEATURE_DIM.to_string()), "{err}");
-        assert!(err.contains("refit"), "{err}");
-
-        // Matching dim but short vectors is also rejected.
-        let torn = format!(
-            "{{\"feature_dim\":{dim},\"mean\":\"{short}\",\"scale\":\"{short}\",\"weights\":\"{short}\",\"intercept\":0}}",
-            dim = kernelgen::FEATURE_DIM,
-            short = join(3)
-        );
-        assert!(SurrogateCheckpoint::from_json(&torn).is_err());
     }
 
     #[test]
@@ -1502,7 +1154,7 @@ mod tests {
         };
         // Regression: the best-pick used `partial_cmp(..).expect(..)`,
         // so one NaN measurement panicked the whole search.
-        let r = explore(&space(), Explorer::Exhaustive, |c| {
+        let r = explore(&space(), &mut ExhaustiveSearch::new(&space()), 0, |c| {
             if c.vector_width.get() == 16 {
                 nan_measurement()
             } else {
@@ -1514,13 +1166,14 @@ mod tests {
         assert_ne!(best.config.vector_width.get(), 16, "NaN never wins");
 
         // All-NaN searches have no best rather than a NaN best.
-        let all_nan = explore(&space(), Explorer::Exhaustive, |_| nan_measurement());
+        let mut grid = ExhaustiveSearch::new(&space());
+        let all_nan = explore(&space(), &mut grid, 0, |_| nan_measurement());
         assert!(all_nan.best.is_none());
     }
 
     #[test]
     fn failures_are_counted_not_fatal() {
-        let r = explore(&space(), Explorer::Exhaustive, |c| {
+        let r = explore(&space(), &mut ExhaustiveSearch::new(&space()), 0, |c| {
             if c.unroll == 2 {
                 Err(ClError::BuildProgramFailure("synthetic failure".into()))
             } else {
@@ -1535,12 +1188,13 @@ mod tests {
     #[test]
     fn empty_space_is_handled() {
         let s = ParamSpace::new().widths([]);
-        for strat in [
-            Explorer::Exhaustive,
-            Explorer::RandomSearch { budget: 5, seed: 1 },
-            Explorer::HillClimb { budget: 5, seed: 1 },
-        ] {
-            let r = explore(&s, strat, objective);
+        let strategies: [Box<dyn Strategy>; 3] = [
+            Box::new(ExhaustiveSearch::new(&s)),
+            Box::new(RandomSearch::new(&s, 5, 1)),
+            Box::new(HillClimbSearch::new(&s, 1)),
+        ];
+        for mut strat in strategies {
+            let r = explore(&s, strat.as_mut(), 5, objective);
             assert!(r.best.is_none());
             assert!(r.trace.is_empty());
         }
@@ -1556,19 +1210,20 @@ mod tests {
     }
 
     #[test]
-    fn explore_target_random_matches_serial_visit_order() {
+    fn search_target_random_matches_serial_visit_order() {
         use targets::TargetId;
         let space = ParamSpace::new()
             .sizes_bytes([1 << 16])
             .widths([1, 2, 4, 8])
             .loop_modes([LoopMode::SingleWorkItemFlat])
             .unrolls([1, 2]);
-        let strat = Explorer::RandomSearch { budget: 5, seed: 9 };
         let protocol = |k: KernelConfig| BenchConfig::new(k).with_ntimes(1).with_validation(false);
         let engine = Engine::with_jobs(4);
-        let par = explore_target(&engine, TargetId::FpgaAocl, &space, strat, protocol);
+        let mut strat = RandomSearch::new(&space, 5, 9);
+        let par = search_target(&engine, TargetId::FpgaAocl, &mut strat, 5, protocol, None);
         let runner = Runner::for_target(TargetId::FpgaAocl);
-        let ser = explore(&space, strat, |c| runner.run(&protocol(c.clone())));
+        let mut strat = RandomSearch::new(&space, 5, 9);
+        let ser = explore(&space, &mut strat, 5, |c| runner.run(&protocol(c.clone())));
         assert_eq!(par.trace.len(), ser.trace.len());
         for (a, b) in par.trace.iter().zip(&ser.trace) {
             assert_eq!(a.config, b.config, "same seeded visit order");
@@ -1577,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn explore_target_climbers_share_the_engine_cache() {
+    fn search_target_climbers_share_the_engine_cache() {
         use targets::TargetId;
         let space = ParamSpace::new()
             .sizes_bytes([1 << 16])
@@ -1585,14 +1240,14 @@ mod tests {
             .loop_modes([LoopMode::SingleWorkItemFlat]);
         let engine = Engine::with_jobs(2);
         let protocol = |k: KernelConfig| BenchConfig::new(k).with_ntimes(1).with_validation(false);
-        let strat = Explorer::HillClimb {
-            budget: 12,
-            seed: 1,
+        let climb = || {
+            let mut strat = HillClimbSearch::new(&space, 1);
+            search_target(&engine, TargetId::FpgaAocl, &mut strat, 12, protocol, None);
         };
-        explore_target(&engine, TargetId::FpgaAocl, &space, strat, protocol);
+        climb();
         let first = engine.cache_stats();
         assert!(first.misses > 0);
-        explore_target(&engine, TargetId::FpgaAocl, &space, strat, protocol);
+        climb();
         let delta = engine.cache_stats().since(first);
         assert_eq!(delta.misses, 0, "revisits hit the shared cache");
     }

@@ -416,24 +416,16 @@ impl Engine {
 
     /// Execute `work` on a standard target, one fresh device per worker.
     pub fn run_list(&self, target: targets::TargetId, work: &[BenchConfig]) -> Vec<Outcome> {
-        self.run_list_with(|| Runner::for_target(target), work)
+        self.run_list_observed(|| Runner::for_target(target), work, |_| {})
     }
 
     /// Execute `work` with one runner per worker from `make_runner`
     /// (called once per worker thread; the engine's cache and fault plan
-    /// are attached to each). Results are returned in `work` order.
-    pub fn run_list_with(
-        &self,
-        make_runner: impl Fn() -> Runner + Sync,
-        work: &[BenchConfig],
-    ) -> Vec<Outcome> {
-        self.run_list_observed(make_runner, work, |_| {})
-    }
-
-    /// Like [`run_list_with`](Self::run_list_with), calling `observe` on
+    /// are attached to each), each configuration under the resilience
+    /// policy of [`run_protected`](Self::run_protected). `observe` sees
     /// each outcome as soon as its worker finishes it (out of input
-    /// order; the returned vector is still input-ordered). Used for
-    /// incremental checkpointing.
+    /// order; the returned vector is still input-ordered), which is what
+    /// incremental checkpointing hooks into.
     pub fn run_list_observed(
         &self,
         make_runner: impl Fn() -> Runner + Sync,
@@ -448,7 +440,8 @@ impl Engine {
                     .trace
                     .as_ref()
                     .map(|t| trace::begin_task(Arc::clone(t), i as u64));
-                self.run_one_with(runner, &work[i])
+                let bc = &work[i];
+                self.run_protected(&bc.kernel, || runner.run(bc))
             },
             observe,
         );
@@ -475,16 +468,6 @@ impl Engine {
         runner
             .with_cache(Arc::clone(&self.cache))
             .with_faults(self.faults.clone())
-    }
-
-    /// Execute one configuration on `runner` under the engine's
-    /// resilience policy (retry loop, backoff, deadline, panic
-    /// isolation). The runner should carry the engine's cache/fault
-    /// plan — [`run_list_with`](Self::run_list_with) workers do; attach
-    /// them with [`Runner::with_cache`]/[`Runner::with_faults`] when
-    /// driving this directly (as the DSE climbers do).
-    pub fn run_one_with(&self, runner: &Runner, bc: &BenchConfig) -> Outcome {
-        self.run_protected(&bc.kernel, || runner.run(bc))
     }
 
     /// The resilient execution core: run `attempt` under
@@ -589,9 +572,9 @@ impl Engine {
     }
 
     /// Execute an arbitrary per-configuration objective across the pool
-    /// under the resilience policy — the engine-backed path for
-    /// explorers whose objective is not a [`Runner`] (and the test
-    /// hook for panic isolation). Results are input-ordered.
+    /// under the resilience policy, for objectives that are not a
+    /// [`Runner`] (the hook the pool-level panic-isolation test drives).
+    /// Results are input-ordered.
     pub fn run_objective_list(
         &self,
         configs: &[KernelConfig],

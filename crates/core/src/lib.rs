@@ -24,7 +24,7 @@
 //!   executing through the engine;
 //! * [`report`] — tables and CSV for the harness;
 //! * [`chart`] — the general deterministic ASCII chart renderer
-//!   (line/scatter/bar, linear/log2/log10 axes) behind `--chart`
+//!   (line/scatter, linear/log2/log10 axes) behind `--chart`
 //!   reports, `mpstream watch` and the golden figure charts;
 //! * [`paperdata`] — the paper's plotted data points (transcribed from
 //!   the figures) plus shape checks used by EXPERIMENTS.md;
@@ -50,13 +50,13 @@ pub mod space;
 pub mod sweep;
 pub mod trace;
 
-pub use bandwidth::{gbps_to_kbps, mb_label};
+pub use bandwidth::gbps_to_kbps;
 pub use chart::{sparkline, Chart, Scale};
 pub use checkpoint::Checkpoint;
 pub use config::{BenchConfig, StreamLocation};
 pub use dse::{
-    explore, explore_target, search_target, AnnealSearch, DseResult, ExhaustiveSearch, Explorer,
-    GeneticSearch, HillClimbSearch, ModelSearch, RandomSearch, Strategy, SurrogateCheckpoint,
+    explore, search_target, AnnealSearch, DseResult, ExhaustiveSearch, GeneticSearch,
+    HillClimbSearch, ModelSearch, RandomSearch, Strategy,
 };
 pub use engine::{default_jobs, CancelToken, Engine, Outcome, ResiliencePolicy, RetryStats};
 pub use experiments::{run_figure, Figure, FigureId, RunOpts};
@@ -66,7 +66,7 @@ pub use rng::SplitMix64;
 pub use runner::{Measurement, Runner};
 pub use space::ParamSpace;
 pub use sweep::{
-    pareto_front, pareto_front_of_points, run_space, sweep_space, sweep_space_checkpointed,
-    ParetoPoint, SweepResult,
+    pareto_front, pareto_front_of_points, sweep_space, sweep_space_checkpointed, ParetoPoint,
+    SweepResult,
 };
 pub use trace::Trace;

@@ -103,11 +103,6 @@ impl Measurement {
         self.bytes_moved as f64 / self.best_wall_ns
     }
 
-    /// Device-only bandwidth, GB/s, excluding launch overhead.
-    pub fn kernel_gbps(&self) -> f64 {
-        self.bytes_moved as f64 / self.best_kernel_ns
-    }
-
     /// Energy efficiency, payload gigabytes per joule (when the target
     /// has a power model).
     pub fn gb_per_joule(&self) -> Option<f64> {

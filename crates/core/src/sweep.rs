@@ -4,7 +4,6 @@
 //! [`sweep_space`] expands a [`ParamSpace`] into a work-list, hands it to
 //! the engine's thread pool, and wraps the ordered [`Outcome`]s — plus
 //! the build-cache counters for this sweep — in a [`SweepResult`].
-//! [`run_space`] keeps the original one-runner entry point as a shim.
 //! [`sweep_space_checkpointed`] records every completed point to a
 //! [`Checkpoint`] as workers finish, and skips points the checkpoint
 //! already holds — the `--checkpoint`/`--resume` workflow.
@@ -155,10 +154,7 @@ pub fn sweep_space(
     space: &ParamSpace,
     protocol: impl Fn(KernelConfig) -> BenchConfig,
 ) -> SweepResult {
-    let (cache0, retry0, faults0) = snapshots(engine);
-    let work = space.configs().into_iter().map(protocol).collect();
-    let (points, resumed) = run_checkpointed(engine, target, work, None);
-    finish(engine, points, cache0, retry0, faults0, resumed)
+    sweep_with(engine, target, space, protocol, None)
 }
 
 /// Like [`sweep_space`], but recording every completed point to
@@ -173,10 +169,28 @@ pub fn sweep_space_checkpointed(
     protocol: impl Fn(KernelConfig) -> BenchConfig,
     checkpoint: &Checkpoint,
 ) -> SweepResult {
-    let (cache0, retry0, faults0) = snapshots(engine);
+    sweep_with(engine, target, space, protocol, Some(checkpoint))
+}
+
+fn sweep_with(
+    engine: &Engine,
+    target: targets::TargetId,
+    space: &ParamSpace,
+    protocol: impl Fn(KernelConfig) -> BenchConfig,
+    checkpoint: Option<&Checkpoint>,
+) -> SweepResult {
+    let cache0 = engine.cache_stats();
+    let retry0 = engine.retry_stats();
+    let faults0 = engine.fault_counters();
     let work = space.configs().into_iter().map(protocol).collect();
-    let (points, resumed) = run_checkpointed(engine, target, work, Some(checkpoint));
-    finish(engine, points, cache0, retry0, faults0, resumed)
+    let (points, resumed) = run_checkpointed(engine, target, work, checkpoint);
+    SweepResult {
+        points,
+        cache: engine.cache_stats().since(cache0),
+        retry: engine.retry_stats().since(retry0),
+        faults: engine.fault_counters().since(faults0),
+        resumed,
+    }
 }
 
 /// Execute `work` on `target` across the engine's thread pool, returning
@@ -238,47 +252,6 @@ pub(crate) fn run_checkpointed(
         .map(|s| s.expect("every slot filled"))
         .collect();
     (points, resumed)
-}
-
-fn snapshots(engine: &Engine) -> (CacheStats, RetryStats, FaultCounters) {
-    (
-        engine.cache_stats(),
-        engine.retry_stats(),
-        engine.fault_counters(),
-    )
-}
-
-fn finish(
-    engine: &Engine,
-    points: Vec<Outcome>,
-    cache0: CacheStats,
-    retry0: RetryStats,
-    faults0: FaultCounters,
-    resumed: usize,
-) -> SweepResult {
-    SweepResult {
-        points,
-        cache: engine.cache_stats().since(cache0),
-        retry: engine.retry_stats().since(retry0),
-        faults: engine.fault_counters().since(faults0),
-        resumed,
-    }
-}
-
-/// Execute every configuration of `space` on `runner`'s device, serially
-/// on the calling thread. This is the original single-runner entry
-/// point, now a shim over the engine; prefer [`sweep_space`] for
-/// parallel sweeps.
-pub fn run_space(
-    runner: &Runner,
-    space: &ParamSpace,
-    protocol: impl Fn(KernelConfig) -> BenchConfig,
-) -> SweepResult {
-    let engine = Engine::with_jobs(1);
-    let (cache0, retry0, faults0) = snapshots(&engine);
-    let work: Vec<BenchConfig> = space.configs().into_iter().map(protocol).collect();
-    let points = engine.run_list_with(|| runner.clone(), &work);
-    finish(&engine, points, cache0, retry0, faults0, 0)
 }
 
 /// A point on the bandwidth-vs-logic Pareto frontier.
@@ -347,12 +320,13 @@ mod tests {
             .unrolls([1, 4])
     }
 
+    fn protocol(k: KernelConfig) -> BenchConfig {
+        BenchConfig::new(k).with_ntimes(1).with_validation(false)
+    }
+
     fn sweep() -> SweepResult {
-        run_space(
-            &Runner::for_target(TargetId::FpgaAocl),
-            &small_space(),
-            |k| BenchConfig::new(k).with_ntimes(1).with_validation(false),
-        )
+        let engine = Engine::with_jobs(1);
+        sweep_space(&engine, TargetId::FpgaAocl, &small_space(), protocol)
     }
 
     #[test]
@@ -368,9 +342,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_space_matches_run_space_and_counts_cache() {
+    fn parallel_sweep_matches_serial_and_counts_cache() {
         let engine = Engine::with_jobs(2);
-        let protocol = |k: KernelConfig| BenchConfig::new(k).with_ntimes(1).with_validation(false);
         let a = sweep_space(&engine, TargetId::FpgaAocl, &small_space(), protocol);
         let b = sweep();
         assert_eq!(a.points.len(), b.points.len());
@@ -419,9 +392,7 @@ mod tests {
     #[test]
     fn table_lists_failures_with_reason() {
         let space = small_space().unrolls([16]); // 16x16 will overflow
-        let s = run_space(&Runner::for_target(TargetId::FpgaAocl), &space, |k| {
-            BenchConfig::new(k).with_ntimes(1).with_validation(false)
-        });
+        let s = sweep_space(&Engine::with_jobs(1), TargetId::FpgaAocl, &space, protocol);
         let txt = s.table().to_text();
         assert!(txt.contains("does not fit") || s.failures() == 0, "{txt}");
     }

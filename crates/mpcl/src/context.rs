@@ -101,13 +101,6 @@ impl Context {
         self.inner.mem.lock().expect("mpcl mutex poisoned").used
     }
 
-    /// Create an on-chip channel/pipe of `depth` slots between two
-    /// kernels on this context (AOCL `channel`, SDAccel `pipe`). Depth 0
-    /// is legal and models AOCL's fused producer→consumer pair.
-    pub fn create_channel(&self, depth: u32) -> crate::channel::Channel {
-        crate::channel::Channel::new(self.id(), depth)
-    }
-
     fn alloc(&self, len: u64) -> Result<u64, ClError> {
         let limit = self.inner.device.info().global_mem_bytes;
         if len == 0 {

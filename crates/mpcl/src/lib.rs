@@ -22,7 +22,6 @@
 
 pub mod backend;
 pub mod cache;
-pub mod channel;
 pub mod context;
 pub mod error;
 pub mod fault;
@@ -34,7 +33,6 @@ pub use backend::{
     BuildArtifact, DeviceBackend, DeviceInfo, DeviceType, KernelCost, PowerModel, ResourceUsage,
 };
 pub use cache::{BuildCache, CacheStats, CacheStatus};
-pub use channel::Channel;
 pub use context::{Buffer, Context, MemFlags};
 pub use error::{ClError, RetryClass};
 pub use fault::{FaultCounters, FaultPlan, FaultSite, FaultSpec};

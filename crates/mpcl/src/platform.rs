@@ -1,6 +1,6 @@
 //! Platform and device enumeration.
 
-use crate::backend::{DeviceBackend, DeviceInfo, DeviceType};
+use crate::backend::{DeviceBackend, DeviceInfo};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -105,17 +105,12 @@ impl Platform {
     pub fn devices(&self) -> &[Device] {
         &self.devices
     }
-
-    /// First device of the given type, if any.
-    pub fn device_by_type(&self, ty: DeviceType) -> Option<&Device> {
-        self.devices.iter().find(|d| d.info().device_type == ty)
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use crate::backend::{BuildArtifact, KernelCost};
+    use crate::backend::{BuildArtifact, DeviceType, KernelCost};
     use crate::error::ClError;
     use kernelgen::{ExecPlan, KernelConfig};
 
@@ -203,10 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn platform_lookup_by_type() {
+    fn platform_lists_its_devices() {
         let p = Platform::new("Fake", "Tests", "OpenCL 1.2", vec![fake_device()]);
-        assert!(p.device_by_type(DeviceType::Accelerator).is_some());
-        assert!(p.device_by_type(DeviceType::Gpu).is_none());
         assert_eq!(p.devices().len(), 1);
         assert_eq!(p.name(), "Fake");
     }

@@ -68,10 +68,6 @@ pub enum CmdKind {
     Read,
     /// `clEnqueueNDRangeKernel`.
     Kernel,
-    /// `clEnqueueCopyBuffer`.
-    Copy,
-    /// `clEnqueueFillBuffer`.
-    Fill,
 }
 
 impl CmdKind {
@@ -81,8 +77,6 @@ impl CmdKind {
             CmdKind::Write => "write",
             CmdKind::Read => "read",
             CmdKind::Kernel => "kernel",
-            CmdKind::Copy => "copy",
-            CmdKind::Fill => "fill",
         }
     }
 }
@@ -139,16 +133,6 @@ impl CommandQueue {
         std::mem::take(&mut *self.log.lock().expect("mpcl mutex poisoned"))
     }
 
-    /// Snapshot the command log without clearing it.
-    pub fn log_snapshot(&self) -> Vec<CmdRecord> {
-        self.log.lock().expect("mpcl mutex poisoned").clone()
-    }
-
-    /// Does this queue execute kernels functionally?
-    pub fn is_functional(&self) -> bool {
-        self.functional
-    }
-
     /// Current simulated time, ns (everything enqueued has completed —
     /// the queue is in-order and synchronous, i.e. `clFinish` semantics).
     pub fn now_ns(&self) -> f64 {
@@ -183,7 +167,7 @@ impl CommandQueue {
         if self.functional {
             self.ctx.write_bytes(buf.device_addr(), data);
         }
-        Ok(self.advance(CmdKind::Write, 0.0, ns, buf.len()))
+        Ok(self.advance(CmdKind::Write, ns, buf.len()))
     }
 
     /// Device→host transfer (`clEnqueueReadBuffer`).
@@ -200,7 +184,7 @@ impl CommandQueue {
         if self.functional {
             self.ctx.read_bytes(buf.device_addr(), out);
         }
-        Ok(self.advance(CmdKind::Read, 0.0, ns, buf.len()))
+        Ok(self.advance(CmdKind::Read, ns, buf.len()))
     }
 
     /// Kernel launch (`clEnqueueNDRangeKernel`): times the kernel on the
@@ -278,68 +262,15 @@ impl CommandQueue {
         ))
     }
 
-    /// Device-to-device copy (`clEnqueueCopyBuffer`): both buffers live
-    /// in device DRAM, so the copy moves `2 * len` bytes on the memory
-    /// bus at roughly half the device's peak bandwidth — no PCIe
-    /// involved. Sizes must match and the buffers must not overlap.
-    pub fn enqueue_copy(&self, src: &Buffer, dst: &Buffer) -> Result<Event, ClError> {
-        self.check_same_ctx(src)?;
-        self.check_same_ctx(dst)?;
-        if src.len() != dst.len() {
-            return Err(ClError::InvalidValue(format!(
-                "copy size mismatch: src {} bytes, dst {} bytes",
-                src.len(),
-                dst.len()
-            )));
-        }
-        let (s0, s1) = (src.device_addr(), src.device_addr() + src.len());
-        let (d0, d1) = (dst.device_addr(), dst.device_addr() + dst.len());
-        if s0 < d1 && d0 < s1 {
-            return Err(ClError::MemCopyOverlap);
-        }
-        // Read + write on the device bus: peak/2 effective.
-        let peak = self.ctx.device().info().peak_gbps;
-        let ns = 2.0 * src.len() as f64 / peak;
-        if self.functional {
-            let mut tmp = vec![0u8; src.len() as usize];
-            self.ctx.read_bytes(src.device_addr(), &mut tmp);
-            self.ctx.write_bytes(dst.device_addr(), &tmp);
-        }
-        Ok(self.advance(CmdKind::Copy, 0.0, ns, 2 * src.len()))
-    }
-
-    /// Fill a buffer with a repeating pattern (`clEnqueueFillBuffer`):
-    /// write-only traffic at the device's peak bandwidth. The pattern
-    /// length must divide the buffer length.
-    pub fn enqueue_fill(&self, buf: &Buffer, pattern: &[u8]) -> Result<Event, ClError> {
-        self.check_same_ctx(buf)?;
-        if pattern.is_empty() || !buf.len().is_multiple_of(pattern.len() as u64) {
-            return Err(ClError::InvalidValue(format!(
-                "pattern of {} bytes does not divide buffer of {} bytes",
-                pattern.len(),
-                buf.len()
-            )));
-        }
-        let peak = self.ctx.device().info().peak_gbps;
-        let ns = buf.len() as f64 / peak;
-        if self.functional {
-            let mut data = vec![0u8; buf.len() as usize];
-            for chunk in data.chunks_mut(pattern.len()) {
-                chunk.copy_from_slice(pattern);
-            }
-            self.ctx.write_bytes(buf.device_addr(), &data);
-        }
-        Ok(self.advance(CmdKind::Fill, 0.0, ns, buf.len()))
-    }
-
     /// Block until all enqueued commands complete (`clFinish`). The
     /// simulated queue is synchronous, so this just reports the time.
     pub fn finish(&self) -> f64 {
         self.now_ns()
     }
 
-    fn advance(&self, kind: CmdKind, launch_ns: f64, duration_ns: f64, dram_bytes: u64) -> Event {
-        self.advance_full(kind, launch_ns, duration_ns, dram_bytes, [0; 3], 0.0, false)
+    /// Advance the clock by a buffer transfer (no launch overhead).
+    fn advance(&self, kind: CmdKind, duration_ns: f64, dram_bytes: u64) -> Event {
+        self.advance_full(kind, 0.0, duration_ns, dram_bytes, [0; 3], 0.0, false)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -511,51 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_buffer_moves_data_and_time() {
-        let (ctx, q) = setup();
-        let src = Buffer::new(&ctx, MemFlags::ReadOnly, 8).unwrap();
-        let dst = Buffer::new(&ctx, MemFlags::WriteOnly, 8).unwrap();
-        q.enqueue_write(&src, &[9, 8, 7, 6, 5, 4, 3, 2]).unwrap();
-        let ev = q.enqueue_copy(&src, &dst).unwrap();
-        assert!(ev.duration_ns() > 0.0);
-        assert_eq!(ev.dram_bytes, 16, "read + write traffic");
-        let mut out = [0u8; 8];
-        q.enqueue_read(&dst, &mut out).unwrap();
-        assert_eq!(out, [9, 8, 7, 6, 5, 4, 3, 2]);
-    }
-
-    #[test]
-    fn copy_buffer_rejects_mismatch_and_self_copy() {
-        let (ctx, q) = setup();
-        let a = Buffer::new(&ctx, MemFlags::ReadWrite, 8).unwrap();
-        let b = Buffer::new(&ctx, MemFlags::ReadWrite, 16).unwrap();
-        assert!(matches!(
-            q.enqueue_copy(&a, &b),
-            Err(ClError::InvalidValue(_))
-        ));
-        assert_eq!(q.enqueue_copy(&a, &a).unwrap_err(), ClError::MemCopyOverlap);
-    }
-
-    #[test]
-    fn fill_buffer_repeats_pattern() {
-        let (ctx, q) = setup();
-        let buf = Buffer::new(&ctx, MemFlags::ReadWrite, 8).unwrap();
-        q.enqueue_fill(&buf, &[0xAB, 0xCD]).unwrap();
-        let mut out = [0u8; 8];
-        q.enqueue_read(&buf, &mut out).unwrap();
-        assert_eq!(out, [0xAB, 0xCD, 0xAB, 0xCD, 0xAB, 0xCD, 0xAB, 0xCD]);
-        // Pattern that does not divide the buffer is rejected.
-        assert!(matches!(
-            q.enqueue_fill(&buf, &[1, 2, 3]),
-            Err(ClError::InvalidValue(_))
-        ));
-        assert!(matches!(
-            q.enqueue_fill(&buf, &[]),
-            Err(ClError::InvalidValue(_))
-        ));
-    }
-
-    #[test]
     fn command_log_records_every_command_in_order() {
         let (ctx, q) = setup();
         let n = 256u64;
@@ -569,13 +455,12 @@ mod tests {
         let mut out = vec![0u8; (n * 4) as usize];
         q.enqueue_read(&a, &mut out).unwrap();
 
-        let log = q.log_snapshot();
+        let log = q.take_log();
         let kinds: Vec<CmdKind> = log.iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [CmdKind::Write, CmdKind::Kernel, CmdKind::Read]);
         assert!(log.iter().all(|r| !r.aborted));
         // take_log drains.
-        assert_eq!(q.take_log().len(), 3);
-        assert!(q.log_snapshot().is_empty());
+        assert!(q.take_log().is_empty());
     }
 
     #[test]

@@ -487,11 +487,6 @@ impl ResultStore {
         out
     }
 
-    /// The retention policy this store enforces.
-    pub fn retention_policy(&self) -> RetentionPolicy {
-        self.policy
-    }
-
     /// Cumulative `(jobs evicted, bytes reclaimed)` by retention since
     /// open — the `/metrics` feed.
     pub fn retention_counters(&self) -> (u64, u64) {

@@ -263,7 +263,9 @@ impl DeviceBackend for AoclBackend {
         // (one element per clock into the FIFO).
         let (ns, stall_ns) = match cfg.channel {
             Some(ch) if ch.depth > 0 => {
-                crate::common::channel_overlay(cfg, ns, cycle_ns).expect("channel present")
+                let dram_floor_ns = out.stats.dram_bytes as f64 / t.dram.peak_gbps();
+                crate::common::channel_overlay(cfg, ns, cycle_ns, dram_floor_ns)
+                    .expect("channel present")
             }
             _ => (ns, 0.0),
         };

@@ -89,17 +89,22 @@ pub fn producer_fraction(cfg: &kernelgen::KernelConfig) -> f64 {
 /// FIFO — full writes for a fast producer, empty reads for a fast
 /// consumer — reported as the stall term.
 ///
+/// Both stages share one DRAM, so the overlaid time never drops below
+/// `dram_floor_ns`: the launch's DRAM bytes over the device's peak. A
+/// FIFO saves round trips through global memory, not DRAM bandwidth.
+///
 /// Returns `(ns, stall_ns)`, or `None` for single-stage kernels.
 pub fn channel_overlay(
     cfg: &kernelgen::KernelConfig,
     base_ns: f64,
     per_elem_ns: f64,
+    dram_floor_ns: f64,
 ) -> Option<(f64, f64)> {
     let ch = cfg.channel?;
     let producer = base_ns * producer_fraction(cfg);
     let consumer = base_ns - producer;
     let fill_elems = (ch.depth as u64).min(cfg.n_vectors()) as f64;
-    let ns = producer.max(consumer) + fill_elems * per_elem_ns;
+    let ns = (producer.max(consumer) + fill_elems * per_elem_ns).max(dram_floor_ns);
     Some((ns, (producer - consumer).abs()))
 }
 
@@ -617,40 +622,48 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_counters_sum_to_dram_transactions_within_the_extrapolation_bound() {
-        fn backend(target: usize, sample_cap: u64) -> Box<dyn DeviceBackend> {
-            match target {
-                0 => Box::new(crate::cpu::CpuBackend::with_tuning(crate::cpu::CpuTuning {
+    /// Target `0..4` (CPU, GPU, AOCL, SDAccel) with its default tuning
+    /// but the given simulation sample cap.
+    fn backend(target: usize, sample_cap: u64) -> Box<dyn DeviceBackend> {
+        match target {
+            0 => Box::new(crate::cpu::CpuBackend::with_tuning(crate::cpu::CpuTuning {
+                sample_cap,
+                ..Default::default()
+            })),
+            1 => Box::new(crate::gpu::GpuBackend::with_tuning(crate::gpu::GpuTuning {
+                sample_cap,
+                ..Default::default()
+            })),
+            2 => Box::new(crate::aocl::AoclBackend::with_tuning(
+                crate::aocl::AoclTuning {
                     sample_cap,
                     ..Default::default()
-                })),
-                1 => Box::new(crate::gpu::GpuBackend::with_tuning(crate::gpu::GpuTuning {
+                },
+            )),
+            _ => Box::new(crate::sdaccel::SdaccelBackend::with_tuning(
+                crate::sdaccel::SdaccelTuning {
                     sample_cap,
                     ..Default::default()
-                })),
-                2 => Box::new(crate::aocl::AoclBackend::with_tuning(
-                    crate::aocl::AoclTuning {
-                        sample_cap,
-                        ..Default::default()
-                    },
-                )),
-                _ => Box::new(crate::sdaccel::SdaccelBackend::with_tuning(
-                    crate::sdaccel::SdaccelTuning {
-                        sample_cap,
-                        ..Default::default()
-                    },
-                )),
-            }
+                },
+            )),
         }
-        let mut state = 0x00C0_FFEE_0005u64;
-        let mut pick = |n: usize| {
+    }
+
+    /// A SplitMix64 picker: each call returns a value in `0..n`.
+    fn picker(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |n: usize| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((z ^ (z >> 31)) % n as u64) as usize
-        };
+        }
+    }
+
+    #[test]
+    fn row_counters_sum_to_dram_transactions_within_the_extrapolation_bound() {
+        let mut pick = picker(0x00C0_FFEE_0005);
         for i in 0..32 {
             let target = i % 4;
             let op = kernelgen::Op::FAMILIES[pick(kernelgen::Op::FAMILIES.len())];
@@ -682,6 +695,37 @@ mod tests {
             } else {
                 assert_eq!(rows, s.dram_transactions, "{ctx}: unsampled rows");
             }
+        }
+    }
+
+    /// The two stages of a channeled kernel share one DRAM, so no
+    /// launch, channeled or fused, moves its DRAM bytes faster than the
+    /// device's peak. Arrays are past the CPU's L3 and the GPU's L2.
+    #[test]
+    fn channeled_and_fused_launches_never_beat_the_dram_peak() {
+        let mut pick = picker(0x00C0_FFEE_0021);
+        for i in 0..24 {
+            let target = i % 4;
+            let op = kernelgen::Op::ALL[pick(4)];
+            let mut cfg = KernelConfig::baseline(op, 1 << 23);
+            cfg.vector_width = VectorWidth::new([1, 4, 16][pick(3)]).unwrap();
+            cfg.loop_mode = LoopMode::ALL[pick(3)];
+            // Every third launch is fused; the rest take a power-of-two
+            // FIFO, which every target synthesizes.
+            cfg.channel = (i % 3 != 0).then(|| kernelgen::ChannelSpec {
+                depth: [1, 16, 64, 256][pick(4)],
+            });
+            let mut b = backend(target, 200_000);
+            let peak = b.info().peak_gbps;
+            let art = b.build(&cfg).unwrap();
+            let channel = cfg.channel;
+            let cost = b.kernel_cost(&art, &plan_at(cfg, 4096));
+            let rate = cost.dram_bytes as f64 / cost.ns;
+            assert!(
+                rate <= peak * (1.0 + 1e-12),
+                "sample {i}: target {target} {op:?} channel {channel:?}: {rate:.2} GB/s of \
+                 DRAM traffic against a {peak:.2} GB/s peak"
+            );
         }
     }
 
@@ -794,17 +838,23 @@ mod tests {
     fn channel_overlay_paces_on_the_slow_side() {
         let mut cfg = KernelConfig::baseline(StreamOp::Copy, 1 << 10);
         assert!(
-            channel_overlay(&cfg, 1000.0, 1.0).is_none(),
+            channel_overlay(&cfg, 1000.0, 1.0, 0.0).is_none(),
             "single-stage kernels have no overlay"
         );
         cfg.channel = Some(kernelgen::ChannelSpec { depth: 16 });
-        let (ns, stall) = channel_overlay(&cfg, 1000.0, 1.0).unwrap();
+        let (ns, stall) = channel_overlay(&cfg, 1000.0, 1.0, 0.0).unwrap();
         // Even split: both sides take 500 ns, plus a 16-element fill.
         assert!((ns - 516.0).abs() < 1e-9, "{ns}");
         assert!(stall.abs() < 1e-9, "balanced copy has no stall: {stall}");
 
+        // A DRAM-bound launch keeps its DRAM time; the stall term is
+        // still the imbalance between the stages.
+        let (ns, stall) = channel_overlay(&cfg, 1000.0, 1.0, 800.0).unwrap();
+        assert!((ns - 800.0).abs() < 1e-9, "{ns}");
+        assert!(stall.abs() < 1e-9, "{stall}");
+
         cfg.op = StreamOp::Triad;
-        let (ns, stall) = channel_overlay(&cfg, 900.0, 1.0).unwrap();
+        let (ns, stall) = channel_overlay(&cfg, 900.0, 1.0, 0.0).unwrap();
         // Producer 300 ns, consumer 600 ns: consumer-bound, producer
         // blocked for the 300 ns difference.
         assert!((ns - 616.0).abs() < 1e-9, "{ns}");
@@ -813,7 +863,7 @@ mod tests {
         // The fill term is capped by the traversal length.
         let mut tiny = KernelConfig::baseline(StreamOp::Copy, 4);
         tiny.channel = Some(kernelgen::ChannelSpec { depth: 1024 });
-        let (ns, _) = channel_overlay(&tiny, 10.0, 1.0).unwrap();
+        let (ns, _) = channel_overlay(&tiny, 10.0, 1.0, 0.0).unwrap();
         assert!((ns - 9.0).abs() < 1e-9, "fill caps at n=4: {ns}");
     }
 

@@ -190,8 +190,10 @@ impl DeviceBackend for CpuBackend {
         // pipeline stages (the CPU runtime maps the FIFO to a shared
         // queue); fill is paced at the kernel's own element rate.
         let per_elem_ns = base_ns / cfg.n_vectors().max(1) as f64;
+        let dram_floor_ns = out.stats.dram_bytes as f64 / self.tuning.dram.peak_gbps();
         let (ns, stall_ns) =
-            crate::common::channel_overlay(cfg, base_ns, per_elem_ns).unwrap_or((base_ns, 0.0));
+            crate::common::channel_overlay(cfg, base_ns, per_elem_ns, dram_floor_ns)
+                .unwrap_or((base_ns, 0.0));
         KernelCost {
             ns,
             dram_bytes: out.stats.dram_bytes,

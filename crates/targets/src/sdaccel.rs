@@ -221,8 +221,10 @@ impl DeviceBackend for SdaccelBackend {
 
         // OpenCL 2.0 pipes never fuse: the two kernels always run as
         // separate compute units, and the host pays a second dispatch.
+        let dram_floor_ns = out.stats.dram_bytes as f64 / t.dram.peak_gbps();
         let (mut ns, stall_ns) =
-            crate::common::channel_overlay(cfg, base_ns, cycle_ns).unwrap_or((base_ns, 0.0));
+            crate::common::channel_overlay(cfg, base_ns, cycle_ns, dram_floor_ns)
+                .unwrap_or((base_ns, 0.0));
         if cfg.channel.is_some() {
             ns += t.launch_overhead_ns;
         }

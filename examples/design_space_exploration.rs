@@ -18,8 +18,8 @@
 
 use kernelgen::{AoclOpts, LoopMode, StreamOp, VendorOpts};
 use mpstream_core::{
-    explore_target, search_target, BenchConfig, DseResult, Engine, Explorer, GeneticSearch,
-    ModelSearch, ParamSpace, Table,
+    search_target, BenchConfig, DseResult, Engine, ExhaustiveSearch, GeneticSearch,
+    HillClimbSearch, ModelSearch, ParamSpace, Table,
 };
 use targets::TargetId;
 
@@ -62,15 +62,14 @@ fn main() {
     const SEED: u64 = 20180521;
 
     println!("Hill-climbing with a budget of {BUDGET} evaluations...");
-    let hc = explore_target(
+    let mut climber = HillClimbSearch::new(&space, SEED);
+    let hc = search_target(
         &engine,
         TargetId::FpgaAocl,
-        &space,
-        Explorer::HillClimb {
-            budget: BUDGET,
-            seed: SEED,
-        },
+        &mut climber,
+        BUDGET,
         protocol,
+        None,
     );
     report("hill-climb", &hc);
 
@@ -101,13 +100,8 @@ fn main() {
     println!("{}", md.pareto_table().to_text());
 
     println!("\nExhaustive sweep for reference (every configuration, in parallel)...");
-    let ex = explore_target(
-        &engine,
-        TargetId::FpgaAocl,
-        &space,
-        Explorer::Exhaustive,
-        protocol,
-    );
+    let mut grid = ExhaustiveSearch::new(&space);
+    let ex = search_target(&engine, TargetId::FpgaAocl, &mut grid, 0, protocol, None);
     report("exhaustive", &ex);
 
     let stats = engine.cache_stats();

@@ -7,9 +7,7 @@
 
 use kernelgen::{KernelConfig, LoopMode, StreamOp};
 use mpcl::{FaultPlan, FaultSpec};
-use mpstream_core::dse::{
-    search_target, GeneticSearch, HillClimbSearch, ModelSearch, Strategy, SurrogateCheckpoint,
-};
+use mpstream_core::dse::{search_target, GeneticSearch, HillClimbSearch, ModelSearch, Strategy};
 use mpstream_core::{
     sweep_space, BenchConfig, CancelToken, Checkpoint, Engine, Outcome, ParamSpace,
     ResiliencePolicy,
@@ -158,46 +156,6 @@ fn searches_stay_within_two_percent_on_a_mixed_stream_hpcc_space() {
             r.evaluations()
         );
     }
-}
-
-/// Feature-dimension versioning: a surrogate checkpoint fitted before
-/// the workload-family growth (19 features) must fail loudly at load
-/// time, not silently steer a 25-dim search with mis-indexed weights —
-/// while a checkpoint written by this build round-trips and warm
-/// starts.
-#[test]
-fn stale_surrogate_checkpoints_fail_loudly_current_ones_round_trip() {
-    let path = temp_path("surrogate");
-
-    // A pre-family 19-dim checkpoint, as an old build would have saved.
-    let zeros = |n: usize| vec!["0"; n].join(",");
-    let old = format!(
-        "{{\"feature_dim\":19,\"mean\":\"{0}\",\"scale\":\"{0}\",\"weights\":\"{0}\",\"intercept\":2.5}}",
-        zeros(19)
-    );
-    std::fs::write(&path, old).unwrap();
-    let err = SurrogateCheckpoint::load(&path).unwrap_err();
-    assert!(err.contains("19-dim"), "{err}");
-    assert!(
-        err.contains(&kernelgen::FEATURE_DIM.to_string()),
-        "names the current dim: {err}"
-    );
-
-    // A checkpoint from a real search on the mixed space round-trips.
-    let space = mixed_family_space();
-    let engine = Engine::with_jobs(2);
-    let mut s = ModelSearch::new(&space, 12, SEED);
-    search_target(&engine, TargetId::FpgaAocl, &mut s, 12, protocol, None);
-    let ckpt = s.surrogate();
-    assert_eq!(ckpt.feature_dim, kernelgen::FEATURE_DIM);
-    ckpt.save(&path).unwrap();
-    let back = SurrogateCheckpoint::load(&path).expect("current build loads its own checkpoint");
-    assert_eq!(back, ckpt);
-
-    // And the loaded surrogate warm starts a fresh search.
-    let asked = ModelSearch::new(&space, 12, SEED).warm_start(&back).ask();
-    assert!(!asked.is_empty());
-    std::fs::remove_file(&path).ok();
 }
 
 /// Golden determinism: same seed, same visit order and scores at
