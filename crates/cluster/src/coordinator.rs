@@ -427,7 +427,9 @@ impl Cluster {
             // run on the coordinator's own engine, checkpointed in the
             // same store the sharded path merges into.
             let engine = core_cli::build_engine(&req, None).with_cancel(Some(token.clone()));
-            let ckpt = Checkpoint::resume(self.store.checkpoint_path(rec.id))
+            let ckpt = self
+                .store
+                .checkpoint(rec.id)
                 .map_err(|e| format!("checkpoint: {e}"))?;
             let result = core_cli::run_dse(&engine, &req, Some(&ckpt));
             self.metrics.absorb_dse(&result);

@@ -20,6 +20,10 @@
 //! checkpoint file per job, forever) accumulate superseded records for
 //! re-run keys; [`Checkpoint::compact`] rewrites a file down to the
 //! last record per `(device, config)` key, dropping any torn tail.
+//!
+//! A reader tailing the file (the daemon's result streams) learns of
+//! each new line through [`Checkpoint::on_record`], a hook that fires
+//! once the line is flushed.
 
 use crate::engine::Outcome;
 use crate::json::{parse_flat_object, CompactStats, JsonLine, JsonValue};
@@ -39,6 +43,16 @@ pub struct Checkpoint {
     path: PathBuf,
     file: Mutex<File>,
     loaded: HashMap<String, Outcome>,
+    on_record: Option<RecordHook>,
+}
+
+/// Newtype so `Checkpoint` can keep deriving `Debug`.
+struct RecordHook(Box<dyn Fn() + Send + Sync>);
+
+impl std::fmt::Debug for RecordHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("RecordHook")
+    }
 }
 
 /// The checkpoint key of a configuration (its exhaustive `Debug`
@@ -56,6 +70,7 @@ impl Checkpoint {
             path,
             file: Mutex::new(file),
             loaded: HashMap::new(),
+            on_record: None,
         })
     }
 
@@ -86,6 +101,7 @@ impl Checkpoint {
             path,
             file: Mutex::new(file),
             loaded,
+            on_record: None,
         })
     }
 
@@ -134,12 +150,25 @@ impl Checkpoint {
         })
     }
 
-    /// Append `outcome` and flush, so a kill right after loses nothing.
+    /// Run `hook` after every [`record`](Self::record) has flushed its
+    /// line, on the recording thread. Replaces any earlier hook.
+    pub fn on_record(mut self, hook: impl Fn() + Send + Sync + 'static) -> Self {
+        self.on_record = Some(RecordHook(Box::new(hook)));
+        self
+    }
+
+    /// Append `outcome` and flush, so a kill right after loses nothing;
+    /// then run the [`on_record`](Self::on_record) hook, if any.
     pub fn record(&self, outcome: &Outcome) -> std::io::Result<()> {
         let line = render_record(outcome);
         let mut file = self.file.lock().expect("checkpoint mutex poisoned");
         writeln!(file, "{line}")?;
-        file.flush()
+        file.flush()?;
+        drop(file);
+        if let Some(RecordHook(hook)) = &self.on_record {
+            hook();
+        }
+        Ok(())
     }
 }
 
@@ -383,6 +412,28 @@ mod tests {
 
         let other = KernelConfig::baseline(StreamOp::Scale, 1024);
         assert!(cp.lookup(&other).is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn record_hook_fires_after_the_line_is_flushed() {
+        let path = temp_path("hook");
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let cp = Checkpoint::create(&path).unwrap();
+        let cp = {
+            let (path, seen) = (path.clone(), std::sync::Arc::clone(&seen));
+            cp.on_record(move || {
+                let text = std::fs::read_to_string(&path).unwrap();
+                seen.lock().unwrap().push(text.lines().count());
+            })
+        };
+        cp.record(&sample_ok()).unwrap();
+        cp.record(&sample_err()).unwrap();
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![1, 2],
+            "each hook saw its own line"
+        );
         std::fs::remove_file(&path).ok();
     }
 

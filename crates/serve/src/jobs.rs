@@ -19,7 +19,7 @@ use crate::spec;
 use crate::store::{JobRecord, JobState, ResultStore};
 use crate::tenant::ANONYMOUS;
 use mpstream_core::cli::{self, CliRequest};
-use mpstream_core::{CancelToken, Checkpoint};
+use mpstream_core::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -420,7 +420,9 @@ impl JobManager {
     ) -> Result<Option<String>, String> {
         let req: CliRequest = spec::spec_to_request(&rec.spec)?;
         let engine = cli::build_engine(&req, None).with_cancel(Some(token.clone()));
-        let ckpt = Checkpoint::resume(self.store.checkpoint_path(rec.id))
+        let ckpt = self
+            .store
+            .checkpoint(rec.id)
             .map_err(|e| format!("checkpoint: {e}"))?;
         if req.mode == cli::CliMode::Dse {
             let result = cli::run_dse(&engine, &req, Some(&ckpt));

@@ -13,12 +13,17 @@
 //! and `run` returns so the process can exit 0.
 //!
 //! One route escapes the request/response mold: `GET /jobs/N/stream`
-//! is a chunked long-poll that replays the job's checkpoint records
-//! and then tails new ones as points finish. It runs on a detached
-//! streamer thread (`stream_job`) so a stream held open for a long
-//! sweep never pins one of the pool's workers; admission (auth, rate
-//! limit, 404) happens on the worker *before* the first chunk, so
-//! refusals are ordinary buffered responses.
+//! is a chunked response that replays the job's checkpoint records and
+//! then pushes each new one as its point is checkpointed. The streamer
+//! sleeps on the job's change signal in the store, so it wakes when the
+//! job gains a record or changes state, when a heartbeat is due, or
+//! when shutdown begins — never on a timer of its own. It runs on a
+//! detached streamer thread (`stream_job`) so a stream held open for a
+//! long sweep never pins one of the pool's workers; admission (auth,
+//! rate limit, 404) happens on the worker *before* the first chunk, so
+//! refusals are ordinary buffered responses. Shutdown wakes every
+//! stream and waits a bounded time for each to write its current status
+//! line and the terminator.
 
 use crate::http::{
     parse_request, write_chunk, write_chunk_terminator, write_chunked_header, DeadlineStream,
@@ -35,8 +40,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
+
+/// How long shutdown waits for open streams to write their last lines.
+const STREAM_DRAIN: Duration = Duration::from_secs(5);
 
 /// A pluggable route consulted *before* the built-in API. Returning
 /// `None` falls through to the standard routes. The cluster coordinator
@@ -135,6 +143,10 @@ struct Shared {
     /// The server's shutdown flag, also watched by detached streamer
     /// threads so live streams end promptly when the daemon drains.
     shutdown: Arc<AtomicBool>,
+    /// Streamer threads still running, so shutdown can wait for their
+    /// last lines; `stream_ended` is notified as each one finishes.
+    live_streams: Mutex<usize>,
+    stream_ended: Condvar,
 }
 
 /// A bound (not yet running) server.
@@ -187,6 +199,8 @@ impl Server {
                 request_deadline: opts.request_deadline,
                 max_requests_per_conn: opts.max_requests_per_conn.max(1),
                 shutdown: Arc::clone(&shutdown),
+                live_streams: Mutex::new(0),
+                stream_ended: Condvar::new(),
             }),
             shutdown,
             opts,
@@ -290,7 +304,11 @@ impl Server {
             }
         }
 
-        // Drain: no new connections; workers finish buffered ones.
+        // Drain: no new connections. Flag first, then wake every stream:
+        // each re-checks the flag and ends with its current status line.
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.store().wake_all();
+        // Workers finish buffered connections.
         drop(tx);
         for w in workers {
             let _ = w.join();
@@ -299,10 +317,20 @@ impl Server {
         // and re-queued (its finished points are already checkpointed).
         self.shared.manager.shutdown();
         let _ = runner.join();
-        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(gc) = gc {
             let _ = gc.join();
         }
+        // Give the woken streams a bounded time to write their last
+        // lines before the process may exit under them.
+        let live = self
+            .shared
+            .live_streams
+            .lock()
+            .expect("stream count poisoned");
+        let _ = self
+            .shared
+            .stream_ended
+            .wait_timeout_while(live, STREAM_DRAIN, |n| *n > 0);
         Ok(())
     }
 }
@@ -447,7 +475,7 @@ fn serve_stream(req: &Request, mut writer: TcpStream, shared: &Arc<Shared>, id: 
         );
         return;
     }
-    if shared.manager.status(id).is_none() {
+    if shared.manager.store().get(id).is_none() {
         refuse(writer, json_error(404, "no such job"));
         return;
     }
@@ -456,6 +484,7 @@ fn serve_stream(req: &Request, mut writer: TcpStream, shared: &Arc<Shared>, id: 
     }
     Metrics::inc(&shared.metrics.stream_opened);
     Metrics::inc(&shared.metrics.stream_active);
+    *shared.live_streams.lock().expect("stream count poisoned") += 1;
     let thread_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name(format!("mpstream-stream-{id}"))
@@ -464,6 +493,7 @@ fn serve_stream(req: &Request, mut writer: TcpStream, shared: &Arc<Shared>, id: 
         // Thread exhaustion: the socket was dropped with the closure,
         // so the client sees a truncated (never "finished") stream.
         Metrics::dec(&shared.metrics.stream_active);
+        stream_done(shared);
     }
 }
 
@@ -473,27 +503,47 @@ fn stream_job(mut writer: TcpStream, shared: &Shared, id: u64) {
     stream_job_feed(&mut writer, shared, id);
     Metrics::dec(&shared.metrics.stream_active);
     drain(&writer);
+    stream_done(shared);
 }
 
-/// The live feed: replay the records already on disk, then tail the
-/// checkpoint as points finish, one chunk per record line. Idle spells
-/// emit `: heartbeat` comment chunks so client read deadlines and
-/// intermediaries see traffic. Ends with one status line and the
-/// terminator chunk at terminal state (or a current status line at
-/// daemon shutdown, so the client knows to reconnect). A write error
-/// means the client went away — the job itself is never touched.
+/// Count one streamer thread out, waking a shutdown that waits for it.
+fn stream_done(shared: &Shared) {
+    *shared.live_streams.lock().expect("stream count poisoned") -= 1;
+    shared.stream_ended.notify_all();
+}
+
+/// The live feed: replay the records already on disk, then push each
+/// new record as it lands, one chunk per record line. The streamer
+/// sleeps on the job's change signal between reads, so it wakes when
+/// the job gains a record or changes state, when a heartbeat is due,
+/// or at shutdown. Idle spells emit `: heartbeat` comment chunks so
+/// client read deadlines and intermediaries see traffic. Ends with one
+/// status line and the terminator chunk at terminal state (or a current
+/// status line at daemon shutdown, so the client knows to reconnect). A
+/// write error means the client went away — the job itself is never
+/// touched.
 fn stream_job_feed(w: &mut TcpStream, shared: &Shared, id: u64) {
-    const POLL: Duration = Duration::from_millis(25);
     const HEARTBEAT: Duration = Duration::from_secs(1);
     let store = shared.manager.store();
+    let signal = store.signal(id);
+    // The signal strictly before state and records: a change that lands
+    // after this read moves the counter past `seen`, so the wait below
+    // returns at once instead of sleeping through it.
+    let mut seen = signal.seq();
     let mut sent = 0usize;
-    let mut idle = Duration::ZERO;
+    let mut quiet_since = Instant::now();
     loop {
-        // State strictly before lines: the runner appends every record
-        // before it marks the job terminal, so a terminal state
+        // State strictly before records: the runner appends every
+        // record before it marks the job terminal, so a terminal state
         // observed *here* guarantees the read below sees every record.
-        let status = shared.manager.status(id);
-        let (fresh, _) = store.result_page(id, sent, usize::MAX);
+        let Some(rec) = store.get(id) else {
+            // Evicted by retention mid-stream: no terminal status will
+            // ever appear; say why and end cleanly.
+            let _ = write_chunk(w, b": job evicted from store\n");
+            let _ = write_chunk_terminator(w);
+            return;
+        };
+        let (fresh, done) = store.result_page(id, sent, usize::MAX);
         for line in &fresh {
             if write_chunk(w, format!("{line}\n").as_bytes()).is_err() {
                 return;
@@ -501,40 +551,27 @@ fn stream_job_feed(w: &mut TcpStream, shared: &Shared, id: u64) {
             Metrics::inc(&shared.metrics.stream_records);
             sent += 1;
         }
-        match status {
-            None => {
-                // Evicted by retention mid-stream: no terminal status
-                // will ever appear; say why and end cleanly.
-                let _ = write_chunk(w, b": job evicted from store\n");
-                let _ = write_chunk_terminator(w);
-                return;
-            }
-            Some((rec, done)) if !rec.state.is_live() => {
-                let _ = write_chunk(w, (job_status_line(&rec, done) + "\n").as_bytes());
-                let _ = write_chunk_terminator(w);
-                return;
-            }
-            Some((rec, done)) if shared.shutdown.load(Ordering::SeqCst) => {
-                // Daemon draining: end with the current (live) status so
-                // the client can tell "stream over" from "job over".
-                let _ = write_chunk(w, (job_status_line(&rec, done) + "\n").as_bytes());
-                let _ = write_chunk_terminator(w);
-                return;
-            }
-            Some(_) => {}
+        // At a terminal state, or with the daemon draining (the current,
+        // live status, so the client can tell "stream over" from "job
+        // over"): one status line, then the terminator.
+        if !rec.state.is_live() || shared.shutdown.load(Ordering::SeqCst) {
+            let _ = write_chunk(w, (job_status_line(&rec, done) + "\n").as_bytes());
+            let _ = write_chunk_terminator(w);
+            return;
         }
+        let now = Instant::now();
         if !fresh.is_empty() {
-            idle = Duration::ZERO;
-        } else {
-            std::thread::sleep(POLL);
-            idle += POLL;
-            if idle >= HEARTBEAT {
-                if write_chunk(w, b": heartbeat\n").is_err() {
-                    return;
-                }
-                idle = Duration::ZERO;
+            quiet_since = now;
+        } else if now.duration_since(quiet_since) >= HEARTBEAT {
+            if write_chunk(w, b": heartbeat\n").is_err() {
+                return;
             }
+            quiet_since = now;
         }
+        seen = signal.wait_past(
+            seen,
+            (quiet_since + HEARTBEAT).saturating_duration_since(now),
+        );
     }
 }
 

@@ -17,6 +17,12 @@
 //! most one torn line. [`ResultStore::open`] compacts the journal and
 //! every checkpoint on startup (last record per key, torn tails
 //! dropped), converging the directory back to a clean state.
+//!
+//! Each job also has a change signal (`JobSignal`) that every writer
+//! bumps once its change has landed: a state change in the journal, a
+//! merged batch of lines, or a record the engine appended through the
+//! checkpoint from [`ResultStore::checkpoint`]. Result streams wait on
+//! it instead of polling.
 
 use crate::retention::{RetentionPolicy, RetentionStats};
 use mpstream_core::json::{compact_jsonl, parse_flat_object, CompactStats, JsonLine};
@@ -26,8 +32,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Wall-clock seconds since the epoch — the journal's age notion for
 /// retention. Coarse on purpose: eviction decisions span minutes.
@@ -180,27 +186,53 @@ struct IndexEntry {
 /// byte offset: a sync reads only the appended suffix.
 #[derive(Debug, Default)]
 struct JobIndex {
-    /// Bytes of the checkpoint already folded into `entries`.
+    /// Bytes of the checkpoint already folded in.
     offset: u64,
-    /// Parseable records in file order.
-    entries: Vec<IndexEntry>,
+    /// Complete keyed records in those bytes.
+    count: usize,
+    /// The records themselves, in file order. Kept only for a job whose
+    /// lines a reader asked for (pages, streams, queries); a job that
+    /// was only counted (status, listing) keeps none.
+    entries: Option<Vec<IndexEntry>>,
 }
 
-/// Fold any bytes appended to `path` since the last sync into `ji`. A
-/// shrunken file (a merge compacted it) resets and rebuilds. An
-/// unterminated tail line is *deferred*, not indexed — every writer
-/// appends whole `writeln!`-terminated lines, so a missing newline means
-/// the record is still in flight.
-fn sync_index(path: &Path, ji: &mut JobIndex) {
+impl JobIndex {
+    /// Forget what was folded in, keeping whether lines are kept.
+    fn reset(&mut self) {
+        self.offset = 0;
+        self.count = 0;
+        if let Some(entries) = &mut self.entries {
+            entries.clear();
+        }
+    }
+
+    /// The kept record lines (empty for a counted-only job).
+    fn entries(&self) -> &[IndexEntry] {
+        self.entries.as_deref().unwrap_or_default()
+    }
+}
+
+/// Fold any bytes appended to `path` since the last sync into `ji`,
+/// keeping their lines too when `keep_lines` is set (a counted-only
+/// index then re-reads the file from the start). A shrunken file (a
+/// merge compacted it) resets and rebuilds. An unterminated tail line
+/// is *deferred*, not indexed — every writer appends whole
+/// `writeln!`-terminated lines, so a missing newline means the record
+/// is still in flight.
+fn sync_index(path: &Path, ji: &mut JobIndex, keep_lines: bool) {
+    if keep_lines && ji.entries.is_none() {
+        *ji = JobIndex {
+            entries: Some(Vec::new()),
+            ..JobIndex::default()
+        };
+    }
     let Ok(mut f) = File::open(path) else {
-        ji.offset = 0;
-        ji.entries.clear();
+        ji.reset();
         return;
     };
     let len = f.metadata().map(|m| m.len()).unwrap_or(0);
     if len < ji.offset {
-        ji.offset = 0;
-        ji.entries.clear();
+        ji.reset();
     }
     if len == ji.offset || f.seek(SeekFrom::Start(ji.offset)).is_err() {
         return;
@@ -217,23 +249,66 @@ fn sync_index(path: &Path, ji: &mut JobIndex) {
                 }
                 ji.offset += n as u64;
                 let trimmed = line.trim_end();
-                if let Some(obj) = parse_flat_object(trimmed) {
-                    if obj.contains_key("key") {
-                        let field = |k: &str| {
-                            obj.get(k)
-                                .and_then(|v| v.as_str())
-                                .unwrap_or("")
-                                .to_lowercase()
-                        };
-                        ji.entries.push(IndexEntry {
-                            device: field("device"),
-                            key: field("key"),
-                            line: trimmed.to_string(),
-                        });
-                    }
+                let Some(obj) = parse_flat_object(trimmed) else {
+                    continue;
+                };
+                if !obj.contains_key("key") {
+                    continue;
+                }
+                ji.count += 1;
+                if let Some(entries) = &mut ji.entries {
+                    let field = |k: &str| {
+                        obj.get(k)
+                            .and_then(|v| v.as_str())
+                            .unwrap_or("")
+                            .to_lowercase()
+                    };
+                    entries.push(IndexEntry {
+                        device: field("device"),
+                        key: field("key"),
+                        line: trimmed.to_string(),
+                    });
                 }
             }
         }
+    }
+}
+
+/// A job's change signal: a counter that every writer of the job bumps
+/// once its change has landed, and a condvar that wakes the job's
+/// waiters — only this job's, never another's.
+///
+/// A waiter reads [`seq`](Self::seq) *before* it reads the state and
+/// records the signal guards, then passes that value to
+/// [`wait_past`](Self::wait_past). A change that lands after the read
+/// has moved the counter by the time the waiter blocks, so no wake-up
+/// is lost between the read and the wait.
+#[derive(Debug, Default)]
+pub(crate) struct JobSignal {
+    seq: Mutex<u64>,
+    moved: Condvar,
+}
+
+impl JobSignal {
+    /// The counter now.
+    pub(crate) fn seq(&self) -> u64 {
+        *self.seq.lock().expect("signal mutex poisoned")
+    }
+
+    /// Block until the counter moves past `seen` or `timeout` passes,
+    /// and return the counter.
+    pub(crate) fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
+        let seq = self.seq.lock().expect("signal mutex poisoned");
+        let (seq, _) = self
+            .moved
+            .wait_timeout_while(seq, timeout, |seq| *seq == seen)
+            .expect("signal mutex poisoned");
+        *seq
+    }
+
+    fn bump(&self) {
+        *self.seq.lock().expect("signal mutex poisoned") += 1;
+        self.moved.notify_all();
     }
 }
 
@@ -251,6 +326,10 @@ pub struct ResultStore {
     /// so the index discovers those lines by the grown file, reading only
     /// the new suffix and skipping an unterminated last line.
     index: Mutex<HashMap<u64, JobIndex>>,
+    /// Per-job change signals, made by the first waiter or checkpoint.
+    /// A writer bumps only a signal that exists: a waiter that makes
+    /// one later reads the change itself.
+    signals: Mutex<HashMap<u64, Arc<JobSignal>>>,
     startup: StartupStats,
     policy: RetentionPolicy,
     /// Jobs evicted by retention over this handle's lifetime.
@@ -316,6 +395,7 @@ impl ResultStore {
             journal: Mutex::new(journal),
             jobs: Mutex::new(jobs),
             index: Mutex::new(HashMap::new()),
+            signals: Mutex::new(HashMap::new()),
             startup,
             policy,
             evicted: AtomicU64::new(0),
@@ -343,11 +423,12 @@ impl ResultStore {
 
     /// Append a record to the journal (flushed) and the in-memory view,
     /// stamping `updated_unix` so retention sees every state change as
-    /// activity.
+    /// activity, then bump the job's change signal.
     pub fn record(&self, rec: &JobRecord) -> std::io::Result<()> {
         let mut rec = rec.clone();
         rec.updated_unix = now_unix();
         let line = rec.render();
+        let id = rec.id;
         let mut journal = self.journal.lock().expect("store mutex poisoned");
         writeln!(journal, "{line}")?;
         journal.flush()?;
@@ -355,8 +436,38 @@ impl ResultStore {
         self.jobs
             .lock()
             .expect("store mutex poisoned")
-            .insert(rec.id, rec);
+            .insert(id, rec);
+        self.changed(id);
         Ok(())
+    }
+
+    /// Job `id`'s change signal, made on first use.
+    pub(crate) fn signal(&self, id: u64) -> Arc<JobSignal> {
+        let mut signals = self.signals.lock().expect("store mutex poisoned");
+        Arc::clone(signals.entry(id).or_default())
+    }
+
+    /// Bump job `id`'s change signal, if anyone made it.
+    fn changed(&self, id: u64) {
+        if let Some(signal) = self.signals.lock().expect("store mutex poisoned").get(&id) {
+            signal.bump();
+        }
+    }
+
+    /// Bump every job's change signal, so every waiter returns and
+    /// re-checks what else it waits for (the daemon's shutdown flag).
+    pub(crate) fn wake_all(&self) {
+        for signal in self.signals.lock().expect("store mutex poisoned").values() {
+            signal.bump();
+        }
+    }
+
+    /// Open job `id`'s checkpoint for resuming and appending, with a
+    /// hook that bumps the job's change signal after each record.
+    /// Every path that runs a job's points opens its checkpoint here.
+    pub fn checkpoint(&self, id: u64) -> std::io::Result<Checkpoint> {
+        let signal = self.signal(id);
+        Ok(Checkpoint::resume(self.checkpoint_path(id))?.on_record(move || signal.bump()))
     }
 
     /// The current record for a job.
@@ -401,20 +512,22 @@ impl ResultStore {
         std::fs::read_to_string(self.report_path(id)).ok()
     }
 
-    /// Run `read` over job `id`'s indexed records after folding in
-    /// whatever its checkpoint gained since the last read.
-    fn with_index<T>(&self, id: u64, read: impl FnOnce(&[IndexEntry]) -> T) -> T {
+    /// Run `read` over job `id`'s index after folding in whatever its
+    /// checkpoint gained since the last read (lines too when
+    /// `keep_lines` is set).
+    fn with_index<T>(&self, id: u64, keep_lines: bool, read: impl FnOnce(&JobIndex) -> T) -> T {
         let mut index = self.index.lock().expect("store mutex poisoned");
         let ji = index.entry(id).or_default();
-        sync_index(&self.checkpoint_path(id), ji);
-        read(&ji.entries)
+        sync_index(&self.checkpoint_path(id), ji, keep_lines);
+        read(ji)
     }
 
     /// Completed points of a job: complete records of its checkpoint.
     /// Crash-consistent by construction — the engine appends and
-    /// flushes each point as a worker finishes it.
+    /// flushes each point as a worker finishes it. Counting keeps no
+    /// record lines in memory.
     pub fn done_points(&self, id: u64) -> usize {
-        self.with_index(id, <[IndexEntry]>::len)
+        self.with_index(id, false, |ji| ji.count)
     }
 
     /// The raw checkpoint record lines of a job, in completion order —
@@ -426,16 +539,24 @@ impl ResultStore {
     /// Up to `limit` record lines of a job starting at record `offset`,
     /// and the job's record count.
     pub fn result_page(&self, id: u64, offset: usize, limit: usize) -> (Vec<String>, usize) {
-        self.with_index(id, |entries| {
-            let page = entries.iter().skip(offset).take(limit);
-            (page.map(|e| e.line.clone()).collect(), entries.len())
+        self.with_index(id, true, |ji| {
+            let page = ji.entries().iter().skip(offset).take(limit);
+            (page.map(|e| e.line.clone()).collect(), ji.count)
         })
     }
 
+    /// Record lines the index keeps for job `id`; `None` when it keeps
+    /// none (never read, or only counted).
+    #[cfg(test)]
+    fn kept_lines(&self, id: u64) -> Option<usize> {
+        let index = self.index.lock().expect("store mutex poisoned");
+        index.get(&id)?.entries.as_ref().map(Vec::len)
+    }
+
     /// Append already-rendered checkpoint record lines to a job's
-    /// checkpoint file (one write, one flush) and fold them into the
-    /// query index in the same step. The cluster merge path lands
-    /// worker-shipped shards through this.
+    /// checkpoint file (one write, one flush), fold them into the
+    /// query index in the same step, then bump the job's change signal.
+    /// The cluster merge path lands worker-shipped shards through this.
     pub fn append_result_lines(&self, id: u64, lines: &[String]) -> std::io::Result<()> {
         let path = self.checkpoint_path(id);
         // Hold the index lock across the write so a concurrent query's
@@ -450,7 +571,9 @@ impl ResultStore {
         f.write_all(buf.as_bytes())?;
         f.flush()?;
         drop(f);
-        sync_index(&path, index.entry(id).or_default());
+        sync_index(&path, index.entry(id).or_default(), false);
+        drop(index);
+        self.changed(id);
         Ok(())
     }
 
@@ -468,8 +591,8 @@ impl ResultStore {
             if q.job.is_some_and(|id| id != rec.id) {
                 continue;
             }
-            self.with_index(rec.id, |entries| {
-                for e in entries {
+            self.with_index(rec.id, true, |ji| {
+                for e in ji.entries() {
                     if !q.device.is_empty() && !e.device.contains(&device) {
                         continue;
                     }
@@ -525,10 +648,12 @@ impl ResultStore {
             return Ok(RetentionStats::default());
         }
         let now = now_unix();
-        // Lock order everywhere: journal, then jobs, then index.
+        // Lock order everywhere: journal, then jobs, then index, then
+        // signals.
         let mut journal = self.journal.lock().expect("store mutex poisoned");
         let mut jobs = self.jobs.lock().expect("store mutex poisoned");
         let mut index = self.index.lock().expect("store mutex poisoned");
+        let mut signals = self.signals.lock().expect("store mutex poisoned");
 
         let file_len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
         // Bytes accounted to a job: its journal line, checkpoint, and
@@ -560,6 +685,10 @@ impl ResultStore {
             std::fs::remove_file(self.report_path(id)).ok();
             jobs.remove(&id);
             index.remove(&id);
+            // A stream on the job learns it is gone.
+            if let Some(signal) = signals.remove(&id) {
+                signal.bump();
+            }
             total_bytes = total_bytes.saturating_sub(bytes);
             stats.evicted += 1;
             stats.bytes_reclaimed += bytes;
@@ -1029,6 +1158,143 @@ mod tests {
         assert_eq!(Checkpoint::compact(&path).unwrap().superseded, 2);
         assert!(std::fs::metadata(&path).unwrap().len() < before);
         assert_eq!(pages_match_file("after compaction"), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counting keeps no lines: through appends, a foreign line, an
+    /// unterminated tail and a compaction that shrinks the file, the
+    /// count equals the file's complete keyed lines while the index
+    /// holds none. A later page still equals a direct read of the file.
+    #[test]
+    fn counting_keeps_no_lines_and_tracks_the_file() {
+        let dir = temp_dir("count-only");
+        let store = ResultStore::open(&dir).unwrap();
+        store.record(&sample(1, JobState::Running)).unwrap();
+        let path = store.checkpoint_path(1);
+        let count_matches_file = |stage: &str| {
+            let want = scan_lines(&path).len();
+            assert_eq!(store.done_points(1), want, "{stage}: count");
+            assert_eq!(store.kept_lines(1), None, "{stage}: lines kept");
+            want
+        };
+        assert_eq!(count_matches_file("no checkpoint"), 0);
+        let lines: Vec<String> = ["Copy", "Scale", "Add"]
+            .iter()
+            .map(|op| record_line(op, 1024, "Xeon (sim)"))
+            .collect();
+        store.append_result_lines(1, &lines).unwrap();
+        assert_eq!(count_matches_file("store append"), 3);
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            writeln!(f, "{{\"note\":\"not a record\"}}").unwrap();
+            write!(f, "{}", record_line("Triad", 1024, "Xeon (sim)")).unwrap();
+        }
+        assert_eq!(count_matches_file("foreign line, unterminated tail"), 3);
+        OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(b"\n")
+            .unwrap();
+        assert_eq!(count_matches_file("tail terminated"), 4);
+        // A re-leased shard lands two records a second time.
+        store.append_result_lines(1, &lines[..2]).unwrap();
+        assert_eq!(count_matches_file("duplicates"), 6);
+        let before = std::fs::metadata(&path).unwrap().len();
+        Checkpoint::compact(&path).unwrap();
+        assert!(std::fs::metadata(&path).unwrap().len() < before);
+        assert_eq!(count_matches_file("after compaction"), 4);
+
+        // The first page read keeps lines from the start of the file.
+        let file = scan_lines(&path);
+        assert_eq!(store.result_page(1, 1, 2), (file[1..3].to_vec(), 4));
+        assert_eq!(store.kept_lines(1), Some(4));
+        store.append_result_lines(1, &lines[2..]).unwrap();
+        assert_eq!(store.done_points(1), 5);
+        assert_eq!(store.result_lines(1), scan_lines(&path));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint outcome for `op`, as the engine records it.
+    fn outcome(op: kernelgen::StreamOp) -> mpstream_core::Outcome {
+        mpstream_core::Outcome::new(
+            kernelgen::KernelConfig::baseline(op, 1024),
+            Ok(mpstream_core::Measurement::synthetic(1.0)),
+        )
+    }
+
+    /// A waiter on job A returns once A gains a record — merged or
+    /// checkpointed — or changes state. Job B's records and state
+    /// changes leave A's signal where it was. The waiter reports over a
+    /// channel; nothing here sleeps.
+    #[test]
+    fn a_job_signal_moves_for_its_own_job_only() {
+        use std::sync::mpsc::channel;
+        let dir = temp_dir("signal");
+        let store = ResultStore::open(&dir).unwrap();
+        store.record(&sample(1, JobState::Running)).unwrap();
+        store.record(&sample(2, JobState::Running)).unwrap();
+        let a = store.signal(1);
+        let b_ckpt = store.checkpoint(2).unwrap();
+        let a_ckpt = store.checkpoint(1).unwrap();
+        let changes: [(&str, &dyn Fn()); 3] = [
+            ("merged lines", &|| {
+                store
+                    .append_result_lines(1, &[record_line("Copy", 1024, "Xeon (sim)")])
+                    .unwrap()
+            }),
+            ("checkpointed record", &|| {
+                a_ckpt.record(&outcome(kernelgen::StreamOp::Scale)).unwrap()
+            }),
+            ("state change", &|| {
+                store.record(&sample(1, JobState::Done)).unwrap()
+            }),
+        ];
+        for (what, change_a) in changes {
+            let seen = a.seq();
+            let (tx, rx) = channel();
+            std::thread::scope(|s| {
+                let waiter = Arc::clone(&a);
+                s.spawn(move || {
+                    tx.send(waiter.wait_past(seen, Duration::from_secs(60)))
+                        .unwrap()
+                });
+                // Job B changes every way A can: A's signal stays put.
+                store
+                    .append_result_lines(2, &[record_line("Add", 1024, "Xeon (sim)")])
+                    .unwrap();
+                b_ckpt.record(&outcome(kernelgen::StreamOp::Triad)).unwrap();
+                store.record(&sample(2, JobState::Running)).unwrap();
+                assert_eq!(a.seq(), seen, "{what}: job B moved job A's signal");
+                change_a();
+                let woke = rx.recv().unwrap();
+                assert!(woke > seen, "{what}: waiter timed out instead of waking");
+            });
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Shutdown's wake reaches a waiter whose job never changes.
+    #[test]
+    fn wake_all_releases_every_waiter() {
+        let dir = temp_dir("wake-all");
+        let store = ResultStore::open(&dir).unwrap();
+        let signals = [store.signal(1), store.signal(2)];
+        let seen: Vec<u64> = signals.iter().map(|s| s.seq()).collect();
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = signals
+                .iter()
+                .zip(&seen)
+                .map(|(sig, &seen)| s.spawn(move || sig.wait_past(seen, Duration::from_secs(60))))
+                .collect();
+            store.wake_all();
+            for (w, &seen) in waiters.into_iter().zip(&seen) {
+                assert!(
+                    w.join().unwrap() > seen,
+                    "waiter timed out instead of waking"
+                );
+            }
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 }

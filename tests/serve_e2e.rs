@@ -458,6 +458,11 @@ fn cancelling_a_queued_job_frees_its_tenant_quota_slot() {
 /// Returns `(record lines in arrival order, status line)`; heartbeat
 /// comments are skipped.
 fn drain_stream(addr: &str, id: u64, api_key: Option<&str>) -> (Vec<String>, String) {
+    read_stream(open_stream(addr, id, api_key))
+}
+
+/// Open `GET /jobs/<id>/stream`, panicking on a refusal.
+fn open_stream(addr: &str, id: u64, api_key: Option<&str>) -> mpstream_serve::client::StreamReader {
     use mpstream_serve::client::{http_stream_keyed, ClientOpts, StreamReply};
 
     let reply = http_stream_keyed(
@@ -467,10 +472,14 @@ fn drain_stream(addr: &str, id: u64, api_key: Option<&str>) -> (Vec<String>, Str
         &ClientOpts::default(),
     )
     .unwrap();
-    let mut reader = match reply {
+    match reply {
         StreamReply::Open(r) => r,
         StreamReply::Refused(r) => panic!("stream refused: {} {}", r.status, r.text()),
-    };
+    }
+}
+
+/// Read an open stream to its terminator, as [`drain_stream`] does.
+fn read_stream(mut reader: mpstream_serve::client::StreamReader) -> (Vec<String>, String) {
     let mut records = Vec::new();
     let mut status = None;
     while let Some(line) = reader.next_line().unwrap() {
@@ -722,6 +731,129 @@ fn stream_honors_tenant_auth_and_counts_itself() {
     }
 
     handle.trigger();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A daemon on a thread whose executor holds job 1 until the test
+/// releases it, then runs every job on the local engine the way the
+/// daemon's own path does (checkpoint from the store, report from the
+/// sweep). Returns `(addr, shutdown handle, join handle, "job 1 has
+/// started", "release job 1")`.
+#[allow(clippy::type_complexity)]
+fn start_gated_server(
+    dir: &Path,
+) -> (
+    String,
+    mpstream_serve::server::ShutdownHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+    std::sync::mpsc::Receiver<()>,
+    std::sync::mpsc::Sender<()>,
+) {
+    use mpstream_core::CancelToken;
+    use mpstream_serve::JobRecord;
+    use std::sync::{mpsc::channel, Arc, Mutex};
+
+    let server = Server::bind(ServeOpts {
+        addr: "127.0.0.1:0".into(),
+        store_dir: dir.to_path_buf(),
+        http_workers: 2,
+        queue_capacity: 4,
+        ..ServeOpts::default()
+    })
+    .unwrap();
+    let store = server.store();
+    let (started_tx, started) = channel();
+    let (release, release_rx) = channel();
+    let gate = Mutex::new((started_tx, release_rx));
+    server
+        .manager()
+        .set_executor(Arc::new(move |rec: &JobRecord, token: &CancelToken| {
+            if rec.id == 1 {
+                let gate = gate.lock().unwrap();
+                gate.0.send(()).unwrap();
+                let _ = gate.1.recv();
+            }
+            let req = mpstream_serve::spec::spec_to_request(&rec.spec)?;
+            let engine = core_cli::build_engine(&req, None).with_cancel(Some(token.clone()));
+            let ckpt = store.checkpoint(rec.id).map_err(|e| e.to_string())?;
+            let result = core_cli::run_sweep(&engine, &req, Some(&ckpt));
+            Ok((!token.is_cancelled()).then(|| core_cli::render_sweep_report(&req, &result)))
+        }));
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.shutdown_handle().unwrap();
+    let join = std::thread::spawn(move || server.run());
+    (addr, handle, join, started, release)
+}
+
+const TINY_SWEEP: [&str; 10] = [
+    "--kernel",
+    "copy",
+    "--size",
+    "65536",
+    "--vectors",
+    "1,2",
+    "--ntimes",
+    "1",
+    "--jobs",
+    "1",
+];
+
+/// A stream on a job queued behind a running one has nothing to send
+/// until its job starts, so it keeps the connection alive with a
+/// `: heartbeat` comment first; once the job runs, its records follow
+/// and match `/results`. The running job is held by a channel until the
+/// heartbeat has arrived.
+#[test]
+fn stream_of_a_queued_job_heartbeats_before_its_first_record() {
+    let dir = temp_dir("stream-heartbeat");
+    let (addr, handle, join, started, release) = start_gated_server(&dir);
+    let spec = request_to_spec(&sweep_request(&TINY_SWEEP)).unwrap();
+    submit(&addr, &spec);
+    let queued = submit(&addr, &spec);
+    started.recv().unwrap();
+
+    let mut reader = open_stream(&addr, queued, None);
+    let first = reader.next_line().unwrap();
+    assert_eq!(first.as_deref(), Some(": heartbeat"), "first stream line");
+    release.send(()).unwrap();
+    let (records, status) = read_stream(reader);
+    let obj = parse_flat_object(&status).unwrap();
+    assert_eq!(obj.get("state").and_then(|v| v.as_str()), Some("done"));
+    assert_eq!(records.len(), 2);
+    assert_eq!(records, fetch_all_results(&addr, queued));
+
+    handle.trigger();
+    join.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stream open when the daemon shuts down ends cleanly: the job's
+/// current, live status line, then the terminator, so the client can
+/// tell "stream over" from "job over". The job is held running by a
+/// channel until the stream has ended.
+#[test]
+fn stream_open_at_shutdown_ends_with_a_live_status_line() {
+    let dir = temp_dir("stream-shutdown");
+    let (addr, handle, join, started, release) = start_gated_server(&dir);
+    let id = submit(
+        &addr,
+        &request_to_spec(&sweep_request(&TINY_SWEEP)).unwrap(),
+    );
+    started.recv().unwrap();
+
+    let reader = open_stream(&addr, id, None);
+    handle.trigger();
+    let (records, status) = read_stream(reader);
+    assert!(
+        records.is_empty(),
+        "the held job has no records: {records:?}"
+    );
+    let obj = parse_flat_object(&status).unwrap();
+    assert_eq!(obj.get("state").and_then(|v| v.as_str()), Some("running"));
+    assert_eq!(obj.get("id").and_then(|v| v.as_u64()), Some(id));
+
+    release.send(()).unwrap();
     join.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
